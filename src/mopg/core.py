@@ -20,6 +20,7 @@ __all__ = [
     "Array",
     "MultiObjectiveProblem",
     "DimensionMismatchError",
+    "NaNObjectiveError",
     "eval_F",
     "soft_threshold",
     "project_nonneg",
@@ -29,6 +30,10 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """Raised when a point or weight vector has the wrong shape."""
+
+
+class NaNObjectiveError(ValueError):
+    """Raised when an objective evaluates to NaN."""
 
 
 @dataclass(frozen=True)
@@ -89,14 +94,14 @@ def eval_F(problem: MultiObjectiveProblem, x: Array) -> Array:
     """Evaluate all objectives ``F_i(x) = f_i(x) + g_i(x)``.
 
     Returns an ``(m,)`` float array; entries are ``+inf`` where ``x`` lies
-    outside ``dom g_i``.
+    outside ``dom g_i``.  Raises ``NaNObjectiveError`` on a NaN entry.
     """
     x = _check_point(problem, x)
     values = np.asarray(problem.smooth_values(x), dtype=float) + np.asarray(
         problem.nonsmooth_values(x), dtype=float
     )
     if np.isnan(values).any():
-        raise ValueError("objective evaluation produced NaN")
+        raise NaNObjectiveError("objective evaluation produced NaN")
     return values
 
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import Array, MultiObjectiveProblem, eval_F
+from .core import Array, MultiObjectiveProblem, NaNObjectiveError, eval_F
 from .subproblem import (
     DualSolverConfig,
     SubproblemError,
@@ -148,12 +148,15 @@ class IterationTrace:
 
     On ``CONVERGED`` the last record is the solve whose residual fell
     below ``epsilon``; the update count excludes it.  ``x_final`` is the
-    point produced by the last successful solve.
+    point produced by the last successful solve.  On
+    ``SUBPROBLEM_FAILURE``, ``failure`` names the error that stopped the
+    run and carries its message.
     """
 
     records: tuple[IterationRecord, ...]
     status: TerminationStatus
     x_final: Array
+    failure: Optional[str] = None
 
     @property
     def iterations(self) -> int:
@@ -185,6 +188,7 @@ def backtrack_ell(
     y: Array,
     ell_in: float,
     cfg: Optional[SolverConfig] = None,
+    F_x: Optional[Array] = None,
 ) -> tuple[float, SubproblemSolution, int]:
     """Solve the subproblem, doubling ``ell`` until descent is certified.
 
@@ -197,7 +201,9 @@ def backtrack_ell(
     ``theta``: the two differ by the dual solver's residual duality gap,
     and measuring primal against dual would make near-stationary
     iterations fail the test at every ``ell``.  Returns the accepted
-    ``ell``, its solution and the number of doublings.
+    ``ell``, its solution and the number of doublings; the solution
+    carries the ``F(z_star)`` of the test in ``F_z``.  A caller that holds
+    ``F(x_anchor)`` passes it as ``F_x``.
 
     Raises
     ------
@@ -206,15 +212,16 @@ def backtrack_ell(
     """
     if cfg is None:
         cfg = SolverConfig()
-    inp = SubproblemInput.build(problem, x_anchor, y, ell_in)
+    inp = SubproblemInput.build(problem, x_anchor, y, ell_in, F_x)
     ell = float(ell_in)
     backtracks = 0
     while True:
         sol = solve_subproblem(problem, inp, cfg.dual)
-        gap = float((eval_F(problem, sol.z_star) - inp.F_x).max())
+        F_z = eval_F(problem, sol.z_star)
+        gap = float((F_z - inp.F_x).max())
         model = float(np.max(sol.psi))
         if gap <= model + cfg.backtrack_slack * (1.0 + abs(model)):
-            return ell, sol, backtracks
+            return ell, replace(sol, F_z=F_z), backtracks
         backtracks += 1
         if backtracks > _MAX_BACKTRACKS:
             raise BacktrackDivergedError(
@@ -225,24 +232,36 @@ def backtrack_ell(
         inp = inp.with_ell(ell)
 
 
+# the errors that end a run as SUBPROBLEM_FAILURE
+_STEP_ERRORS = (SubproblemError, BacktrackDivergedError, NaNObjectiveError)
+
+
 def _accepted_step(
     problem: MultiObjectiveProblem,
     x_anchor: Array,
     y: Array,
     ell: float,
+    F_x: Array,
     cfg: SolverConfig,
 ) -> tuple[float, SubproblemSolution, int]:
+    """One accepted solve; its solution carries ``F(z_star)`` in ``F_z``."""
     if cfg.backtracking:
-        return backtrack_ell(problem, x_anchor, y, ell, cfg)
-    inp = SubproblemInput.build(problem, x_anchor, y, ell)
-    return ell, solve_subproblem(problem, inp, cfg.dual), 0
+        return backtrack_ell(problem, x_anchor, y, ell, cfg, F_x)
+    inp = SubproblemInput.build(problem, x_anchor, y, ell, F_x)
+    sol = solve_subproblem(problem, inp, cfg.dual)
+    return ell, replace(sol, F_z=eval_F(problem, sol.z_star)), 0
 
 
-def _start_point(problem: MultiObjectiveProblem, x0: Array) -> Array:
+def _start_point(problem: MultiObjectiveProblem, x0: Array) -> tuple[Array, Array]:
     x = np.array(x0, dtype=float, copy=True)
-    if not np.isfinite(eval_F(problem, x)).all():
+    F_x = eval_F(problem, x)
+    if not np.isfinite(F_x).all():
         raise ValueError("x0 lies outside dom F")
-    return x
+    return x, F_x
+
+
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def run_pgm(
@@ -259,21 +278,23 @@ def run_pgm(
     """
     if cfg is None:
         cfg = SolverConfig()
-    x = _start_point(problem, x0)
+    x, F_x = _start_point(problem, x0)
     ell = cfg.ell_init
     records: list[IterationRecord] = []
     status = TerminationStatus.MAX_ITERATIONS
+    failure = None
     for k in range(1, cfg.max_iterations + 1):
         try:
-            ell, sol, nbt = _accepted_step(problem, x, x, ell, cfg)
-        except (SubproblemError, BacktrackDivergedError):
+            ell, sol, nbt = _accepted_step(problem, x, x, ell, F_x, cfg)
+        except _STEP_ERRORS as exc:
             status = TerminationStatus.SUBPROBLEM_FAILURE
+            failure = _failure(exc)
             break
-        x = sol.z_star
+        x, F_x = sol.z_star, sol.F_z
         records.append(
             IterationRecord(
                 k=k,
-                objective=eval_F(problem, x),
+                objective=F_x,
                 residual_inf=sol.residual_inf,
                 ell=ell,
                 theta=sol.theta,
@@ -285,7 +306,9 @@ def run_pgm(
         if sol.residual_inf < cfg.epsilon:
             status = TerminationStatus.CONVERGED
             break
-    return IterationTrace(records=tuple(records), status=status, x_final=x)
+    return IterationTrace(
+        records=tuple(records), status=status, x_final=x, failure=failure
+    )
 
 
 def run_accpgm(
@@ -302,22 +325,25 @@ def run_accpgm(
     """
     if cfg is None:
         cfg = SolverConfig()
-    x_prev = _start_point(problem, x0)
+    x_prev, F_x = _start_point(problem, x0)
     y = x_prev
     sched = MomentumSchedule()
     ell = cfg.ell_init
     records: list[IterationRecord] = []
     status = TerminationStatus.MAX_ITERATIONS
+    failure = None
     for k in range(1, cfg.max_iterations + 1):
         try:
-            ell, sol, nbt = _accepted_step(problem, x_prev, y, ell, cfg)
-        except (SubproblemError, BacktrackDivergedError):
+            ell, sol, nbt = _accepted_step(problem, x_prev, y, ell, F_x, cfg)
+        except _STEP_ERRORS as exc:
             status = TerminationStatus.SUBPROBLEM_FAILURE
+            failure = _failure(exc)
             break
+        F_x = sol.F_z
         records.append(
             IterationRecord(
                 k=k,
-                objective=eval_F(problem, sol.z_star),
+                objective=F_x,
                 residual_inf=sol.residual_inf,
                 ell=ell,
                 theta=sol.theta,
@@ -334,4 +360,6 @@ def run_accpgm(
         sched, gamma = momentum_next(sched)
         y = sol.z_star + gamma * (sol.z_star - x_prev)
         x_prev = sol.z_star
-    return IterationTrace(records=tuple(records), status=status, x_final=x_prev)
+    return IterationTrace(
+        records=tuple(records), status=status, x_final=x_prev, failure=failure
+    )

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
-from math import isfinite, isnan
+from math import isfinite, isnan, sqrt
 from typing import Optional
 
 import numpy as np
@@ -57,6 +57,7 @@ _LS_SLACK = 1e-15
 # stand-in ascent entry for +inf gradient coordinates: never step toward a
 # coordinate whose g_i is infinite at the current primal point
 _NEG_BIG = -1e32
+_SQRT2 = sqrt(2.0)
 
 
 class SubproblemError(RuntimeError):
@@ -73,7 +74,8 @@ class MaxIterationsExceededError(SubproblemError):
     Attributes
     ----------
     best : SubproblemSolution
-        The iterate with the largest dual value seen.
+        The iterate with the largest dual value seen; with two objectives,
+        the one with the smallest stationarity measure.
     """
 
     def __init__(self, message: str, best: "SubproblemSolution"):
@@ -83,10 +85,13 @@ class MaxIterationsExceededError(SubproblemError):
 
 @dataclass(frozen=True)
 class DualSolverConfig:
-    """Settings for the projected gradient ascent on the dual.
+    """Settings for the dual solve.
 
     The defaults keep the dual solve well below the outer stopping
-    threshold so the residual test stays meaningful.
+    threshold so the residual test stays meaningful.  ``max_iterations``
+    bounds the ascent iterations for ``m >= 3``; for ``m = 2`` it bounds
+    the dual evaluations, the first one included.  ``armijo_factor`` and
+    ``sufficient_increase`` tune the line search of the ``m >= 3`` ascent.
     """
 
     tolerance: float = 1e-10
@@ -138,8 +143,13 @@ class SubproblemInput:
         x_anchor: Array,
         y_extrap: Array,
         ell: float,
+        F_x: Optional[Array] = None,
     ) -> "SubproblemInput":
-        """Evaluate and cache ``f(y)``, the Jacobian at ``y`` and ``F(x)``."""
+        """Evaluate and cache ``f(y)``, the Jacobian at ``y`` and ``F(x)``.
+
+        A caller that already holds ``F(x)`` passes it as ``F_x`` and
+        saves one objective evaluation.
+        """
         x_anchor = np.asarray(x_anchor, dtype=float)
         y_extrap = np.asarray(y_extrap, dtype=float)
         if x_anchor.shape != (problem.n,) or y_extrap.shape != (problem.n,):
@@ -160,7 +170,7 @@ class SubproblemInput:
             ell=float(ell),
             f_y=f_y,
             jac_y=jac_y,
-            F_x=eval_F(problem, x_anchor),
+            F_x=eval_F(problem, x_anchor) if F_x is None else F_x,
         )
 
     def with_ell(self, ell: float) -> "SubproblemInput":
@@ -178,7 +188,8 @@ class SubproblemSolution:
     ``max_i psi_i`` within a tie tolerance; ``residual_inf`` is
     ``||z_star - y||_inf``, the quantity tested by the outer stopping
     rule; ``dual_stationarity`` is the projected-gradient norm at
-    ``lambda_star``.
+    ``lambda_star``; ``F_z`` is ``F(z_star)`` when a caller evaluated it
+    (the descent test of ``backtrack_ell`` does), else ``None``.
     """
 
     z_star: Array
@@ -188,6 +199,7 @@ class SubproblemSolution:
     active_set: tuple[int, ...]
     residual_inf: float
     dual_stationarity: float
+    F_z: Optional[Array] = None
 
 
 def psi_values(
@@ -414,35 +426,135 @@ def solve_subproblem(
 ) -> SubproblemSolution:
     """Maximize the dual over the simplex and recover the primal point.
 
-    Runs projected gradient ascent with a Barzilai-Borwein initial step
-    and a nonmonotone Armijo backtracking line search, from the uniform
-    dual point; a quadratic-model face step is tried first whenever it
-    halves the stationarity measure without degrading the dual value.
     Stops when the projected-gradient stationarity measure
     ``||lam - proj(lam + s grad)|| / s`` falls below ``cfg.tolerance``.
     With one objective the dual is a point and the solve is a single
     prox call, which makes the accelerated outer loop coincide with the
-    classical fast iterative shrinkage-thresholding scheme.
+    classical fast iterative shrinkage-thresholding scheme.  With two
+    objectives the dual is a concave function of ``t = lam_0`` on
+    ``[0, 1]``, and a bracketed root search on its nonincreasing
+    derivative finds the optimum in a few dual evaluations.  With three
+    or more, a projected gradient ascent runs from the uniform dual
+    point, with a Barzilai-Borwein initial step and a nonmonotone Armijo
+    backtracking line search; a quadratic-model face step is tried first
+    whenever it halves the stationarity measure without degrading the
+    dual value.
 
     Raises
     ------
     NonFiniteValueError
         If the dual objective evaluates to NaN or +inf.
     MaxIterationsExceededError
-        If stationarity is not reached within ``cfg.max_iterations``;
-        the error carries the best iterate found.
+        If stationarity is not reached within ``cfg.max_iterations``, or
+        for two objectives when the bracket around the optimum shrinks to
+        adjacent floats first; the error carries the best iterate found.
     """
     if cfg is None:
         cfg = DualSolverConfig()
-    m = problem.m
 
-    if m == 1:
+    if problem.m == 1:
         lam = np.ones(1)
         z, psi, omega, _ = _dual_state(problem, inp, lam)
         if not isfinite(omega):
             raise NonFiniteValueError(f"dual objective is {omega}")
         return _finalize(inp, lam, z, psi, omega, 0.0)
+    if problem.m == 2:
+        return _solve_pair(problem, inp, cfg)
+    return _simplex_ascent(problem, inp, cfg)
 
+
+def _solve_pair(
+    problem: MultiObjectiveProblem,
+    inp: SubproblemInput,
+    cfg: DualSolverConfig,
+) -> SubproblemSolution:
+    """Two objectives: find the zero of ``d(t) = omega'(t)``, ``lam = (t, 1 - t)``.
+
+    ``d = gdir_0 - gdir_1`` with ``gdir`` the ascent direction, and it is
+    nonincreasing because the dual is concave.  The first step from
+    ``t = 1/2`` is a Newton step on the model curvature
+    ``||J_0 - J_1||^2 / ell``, exact without nonsmooth terms.  Until ``d``
+    changes sign, secant steps through the last two points extrapolate
+    toward the unexplored vertex, and the vertex itself is tried when the
+    secant leaves the interval; once ``d`` changes sign, Illinois steps
+    (regula falsi with the stale end's value halved) shrink the bracket,
+    with bisection whenever the secant point falls outside it.  Every
+    evaluation counts against ``cfg.max_iterations``.
+    """
+    step = cfg.probe_step
+    diff = inp.jac_y[0] - inp.jac_y[1]
+    curvature = float(diff @ diff) / inp.ell
+    # the optimum lies in [lo, hi]; d(lo) > 0 and d(hi) < 0 once evaluated,
+    # with the values Illinois-weighted (None while that end is unexplored)
+    lo, hi = 0.0, 1.0
+    d_lo: Optional[float] = None
+    d_hi: Optional[float] = None
+    side = 0
+    t_prev = d_prev = float("nan")
+    best = None
+    t = 0.5
+    for _ in range(cfg.max_iterations):
+        lam = np.array([t, 1.0 - t])
+        z, psi, omega, grad = _dual_state(problem, inp, lam)
+        if isnan(omega) or omega == float("inf"):
+            raise NonFiniteValueError(f"dual objective is {omega}")
+        gdir = _ascent_direction(grad)
+        d = float(gdir[0] - gdir[1])
+        # closed form of ||lam - proj(lam + s gdir)|| / s for m = 2
+        probe = min(max(t + 0.5 * step * d, 0.0), 1.0)
+        stationarity = _SQRT2 * abs(t - probe) / step
+        if stationarity <= cfg.tolerance:
+            return _finalize(inp, lam, z, psi, omega, stationarity)
+        # near the optimum omega is flat to rounding, so the best iterate
+        # is the one closest to stationarity
+        if best is None or stationarity < best[4]:
+            best = (omega, lam, z, psi, stationarity)
+
+        if d > 0.0:
+            lo, d_lo = t, d
+            if side > 0 and d_hi is not None:
+                d_hi *= 0.5
+            side = 1
+        else:
+            hi, d_hi = t, d
+            if side < 0 and d_lo is not None:
+                d_lo *= 0.5
+            side = -1
+        if d_lo is not None and d_hi is not None:
+            t_new = lo + (hi - lo) * (d_lo / (d_lo - d_hi))
+            if not lo < t_new < hi:
+                t_new = 0.5 * (lo + hi)
+                if not lo < t_new < hi:
+                    reason = "bracket collapsed to adjacent floats"
+                    break
+        else:
+            if isnan(t_prev):
+                t_new = t + d / curvature if curvature > 0.0 else float("nan")
+            elif d != d_prev:
+                t_new = t - d * (t - t_prev) / (d - d_prev)
+            else:
+                t_new = float("nan")
+            if not lo < t_new < hi:
+                # the unexplored vertex: stationary there, or a bracket end
+                t_new = hi if d > 0.0 else lo
+        t_prev, d_prev, t = t, d, t_new
+    else:
+        reason = "dual evaluation budget spent"
+    bomega, blam, bz, bpsi, bstat = best
+    raise MaxIterationsExceededError(
+        f"dual root search stopped ({reason}) at stationarity {bstat:.3e} "
+        f"(tolerance {cfg.tolerance:.3e})",
+        _finalize(inp, blam, bz, bpsi, bomega, bstat),
+    )
+
+
+def _simplex_ascent(
+    problem: MultiObjectiveProblem,
+    inp: SubproblemInput,
+    cfg: DualSolverConfig,
+) -> SubproblemSolution:
+    """Projected gradient ascent on the simplex, for any ``m >= 2``."""
+    m = problem.m
     lam = np.full(m, 1.0 / m)
     z, psi, omega, grad = _dual_state(problem, inp, lam)
     if isnan(omega) or omega == float("inf"):

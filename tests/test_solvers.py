@@ -1,5 +1,6 @@
 """Tests for the outer solver loops and the momentum schedule."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from mopg import (
     make_fds,
     make_jos1,
     make_jos1_l1,
+    make_problem,
     momentum_next,
     run_accpgm,
     run_pgm,
@@ -193,6 +195,86 @@ def test_pgm_subproblem_failure_status():
     assert trace.status is TerminationStatus.SUBPROBLEM_FAILURE
     assert trace.records == ()
     assert np.array_equal(trace.x_final, x0)
+
+
+@pytest.mark.parametrize("run", [run_pgm, run_accpgm])
+def test_failure_keeps_the_subproblem_error(run):
+    cfg = SolverConfig(dual=DualSolverConfig(tolerance=1e-300, max_iterations=1))
+    trace = run(make_jos1(3), np.array([3.0, -1.0, 0.5]), cfg)
+    assert trace.status is TerminationStatus.SUBPROBLEM_FAILURE
+    assert trace.failure.startswith("MaxIterationsExceededError: ")
+    assert "stationarity" in trace.failure
+
+
+@pytest.mark.parametrize("run", [run_pgm, run_accpgm])
+def test_failure_keeps_the_backtracking_error(run):
+    prob = MultiObjectiveProblem(
+        m=1,
+        n=1,
+        smooth_values=lambda x: np.array([x[0] ** 4]),
+        smooth_jacobian=lambda x: np.array([[4.0 * x[0] ** 3]]),
+        nonsmooth_values=lambda x: np.zeros(1),
+        weighted_prox=lambda w, v: v,
+    )
+    trace = run(prob, np.array([1e16]))
+    assert trace.status is TerminationStatus.SUBPROBLEM_FAILURE
+    assert trace.failure.startswith("BacktrackDivergedError: descent condition")
+
+
+@pytest.mark.parametrize("run", [run_pgm, run_accpgm])
+def test_nan_objective_inside_the_loop_ends_the_run(run):
+    # finite at the start, NaN at the first proximal point
+    prob = MultiObjectiveProblem(
+        m=1,
+        n=1,
+        smooth_values=lambda x: np.array([x[0] ** 2 if x[0] > 0.5 else np.nan]),
+        smooth_jacobian=lambda x: np.array([[2.0 * x[0]]]),
+        nonsmooth_values=lambda x: np.zeros(1),
+        weighted_prox=lambda w, v: v,
+    )
+    trace = run(prob, np.array([1.0]))
+    assert trace.status is TerminationStatus.SUBPROBLEM_FAILURE
+    assert trace.records == ()
+    assert trace.failure == "NaNObjectiveError: objective evaluation produced NaN"
+    assert run(make_jos1(3), np.full(3, 3.0)).failure is None
+
+
+@pytest.mark.parametrize("backtracking", [True, False])
+@pytest.mark.parametrize("run", [run_pgm, run_accpgm])
+def test_one_objective_evaluation_per_step(run, backtracking):
+    prob = make_fds(6)
+    calls = []
+
+    def smooth_values(x):
+        calls.append(1)
+        return prob.smooth_values(x)
+
+    counted = dataclasses.replace(prob, smooth_values=smooth_values)
+    cfg = SolverConfig(
+        backtracking=backtracking,
+        ell_init=1.0 if backtracking else 64.0,
+        keep_points=True,
+    )
+    x0 = np.random.default_rng(4).uniform(-2.0, 2.0, 6)
+    trace = run(counted, x0, cfg)
+    assert trace.status is TerminationStatus.CONVERGED
+    # F(x0), then per step f(y) for the subproblem and F(z) per solve
+    steps = len(trace.records)
+    assert len(calls) == 1 + 2 * steps + trace.total_backtracks
+    for rec in trace.records:
+        np.testing.assert_array_equal(rec.objective, eval_F(prob, rec.point))
+
+
+def test_jos1_l1_iteration_counts_are_pinned():
+    # counts of the dual ascent that preceded the two-objective root
+    # search; any change to the dual that moves trajectories shows here
+    prob = make_problem("jos1-l1", 50)
+    rng = np.random.default_rng(2024)
+    starts = [rng.uniform(-2.0, 4.0, 50) for _ in range(4)]
+    pgm = [run_pgm(prob, x0).iterations for x0 in starts]
+    acc = [run_accpgm(prob, x0).iterations for x0 in starts]
+    assert pgm == [220, 227, 222, 222]
+    assert acc == [156, 156, 156, 156]
 
 
 def test_start_point_outside_domain_rejected():

@@ -1,7 +1,11 @@
 """Tests for the dual subproblem machinery."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopg import (
     DualSolverConfig,
@@ -22,6 +26,7 @@ from mopg import (
     solve_subproblem,
     soft_threshold,
 )
+from mopg.subproblem import _simplex_ascent
 from oracles import (
     InstanceG,
     brute_subproblem,
@@ -468,3 +473,167 @@ def test_non_finite_dual_raises():
     inp = SubproblemInput.build(prob, np.zeros(1), np.ones(1), 1.0)
     with pytest.raises(NonFiniteValueError):
         solve_subproblem(prob, inp)
+
+
+# ---------------------------------------------------------------------------
+# the two-objective root search
+# ---------------------------------------------------------------------------
+
+# deterministic examples and no example database, so the suite is repeatable
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def linear_pair(jac: np.ndarray, const: np.ndarray) -> MultiObjectiveProblem:
+    """Two linear objectives ``jac @ x + const`` with ``g = 0``."""
+    return MultiObjectiveProblem(
+        m=2,
+        n=jac.shape[1],
+        smooth_values=lambda x: jac @ x + const,
+        smooth_jacobian=lambda x: jac,
+        nonsmooth_values=lambda x: np.zeros(2),
+        weighted_prox=lambda w, v: v,
+    )
+
+
+def counting_prox(prob: MultiObjectiveProblem) -> tuple[MultiObjectiveProblem, list]:
+    """``prob`` with a prox that logs its calls: one per dual evaluation."""
+    calls = []
+
+    def prox(w, v):
+        calls.append(w)
+        return prob.weighted_prox(w, v)
+
+    return dataclasses.replace(prob, weighted_prox=prox), calls
+
+
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 11),
+    scales=st.tuples(*[st.sampled_from([1e-3, 1.0, 1e3])] * 2),
+    duplicate=st.booleans(),
+)
+def test_pair_matches_face_enumeration_on_scaled_rows(seed, n, scales, duplicate):
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(2, n)) * np.array(scales)[:, None]
+    if duplicate:
+        jac[1] = jac[0]
+    prob = linear_pair(jac, rng.normal(size=2))
+    x = rng.normal(size=n)
+    inp = SubproblemInput.build(prob, x, x + rng.normal(size=n), rng.uniform(0.5, 4.0))
+    _, theta_ref = exact_dual_g0(jac @ jac.T, inp.f_y - inp.F_x, inp.ell)
+    try:
+        sol = solve_subproblem(prob, inp)
+    except MaxIterationsExceededError as err:
+        # one float step in t can move the derivative by more than the
+        # absolute tolerance; the search must then end on a collapsed
+        # bracket, never on the evaluation budget
+        assert "bracket collapsed" in str(err)
+        sol = err.best
+    assert sol.theta == pytest.approx(theta_ref, abs=1e-9 * (1.0 + abs(theta_ref)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "nonneg"]))
+def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 4))
+    A = [np.diag(rng.uniform(0.2, 2.0, n)) for _ in range(2)]
+    b = [rng.normal(0.0, 1.0, n) for _ in range(2)]
+    gs = [InstanceG(kind, tau=float(rng.uniform(0.1, 0.8))) for _ in range(2)]
+    taus = np.array([g.tau for g in gs])
+
+    def values(x):
+        return np.array([0.5 * x @ A[i] @ x + b[i] @ x for i in range(2)])
+
+    def jac(x):
+        return np.vstack([A[i] @ x + b[i] for i in range(2)])
+
+    def prox(w, v):
+        if kind == "nonneg":
+            return np.maximum(v, 0.0)
+        return soft_threshold(v, float(w @ taus))
+
+    prob = MultiObjectiveProblem(
+        m=2,
+        n=n,
+        smooth_values=values,
+        smooth_jacobian=jac,
+        nonsmooth_values=lambda x: np.array([g.value(x) for g in gs]),
+        weighted_prox=prox,
+    )
+    x = rng.uniform(0.0, 1.0, n) if kind == "nonneg" else rng.normal(0.0, 1.0, n)
+    y = x + rng.normal(0.0, 0.4, n)
+    if kind == "nonneg":
+        y = np.maximum(y, 0.0)
+    ell = float(rng.uniform(0.8, 4.0))
+    inp = SubproblemInput.build(prob, x, y, ell)
+    sol = solve_subproblem(prob, inp)
+    z_ref, theta_ref = brute_subproblem(values, jac, gs, x, y, ell)
+    assert np.max(np.abs(sol.z_star - z_ref)) <= 1e-4
+    assert abs(sol.theta - theta_ref) <= 1e-6
+    # the general ascent solves the same dual
+    ref = _simplex_ascent(prob, inp, DualSolverConfig())
+    assert sol.theta == pytest.approx(ref.theta, abs=1e-9 * (1.0 + abs(ref.theta)))
+
+
+@pytest.mark.parametrize("t_star", [0.0, 1.0])
+def test_pair_finds_vertex_optima(t_star):
+    # orthogonal unit rows and shift = J (y - x) = +-(5, -5): the dual
+    # derivative keeps one sign on [0, 1], so the optimum is a vertex
+    jac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    prob, calls = counting_prox(linear_pair(jac, np.zeros(2)))
+    x = np.array([0.3, -0.2, 0.1])
+    sign = 1.0 if t_star == 1.0 else -1.0
+    inp = SubproblemInput.build(prob, x, x + sign * np.array([5.0, -5.0, 0.0]), 1.0)
+    sol = solve_subproblem(prob, inp)
+    np.testing.assert_array_equal(sol.lambda_star, [t_star, 1.0 - t_star])
+    assert sol.dual_stationarity == 0.0
+    _, theta_ref = exact_dual_g0(jac @ jac.T, inp.shift, 1.0)
+    assert sol.theta == pytest.approx(theta_ref, abs=1e-12)
+    # the midpoint, then the Newton step lands on the vertex
+    assert len(calls) == 2
+
+
+def test_pair_infinite_gradient_coordinate():
+    # g_1 is the indicator of z >= 0.  This prox drops the constraint at
+    # zero weight, against the contract of MultiObjectiveProblem, which is
+    # the only way a +inf dual gradient coordinate can arise: at t = 1 the
+    # primal point leaves dom g_1
+    def prox(w, v):
+        return np.maximum(v, 0.0) if w[1] > 0.0 else v
+
+    prob = MultiObjectiveProblem(
+        m=2,
+        n=1,
+        smooth_values=lambda x: np.array([0.5 * (x[0] + 2.0) ** 2, 5.0 * x[0] ** 2]),
+        smooth_jacobian=lambda x: np.array([[x[0] + 2.0], [10.0 * x[0]]]),
+        nonsmooth_values=lambda x: np.array([0.0, 0.0 if x[0] >= 0.0 else np.inf]),
+        weighted_prox=prox,
+    )
+    inp = SubproblemInput.build(prob, np.array([1.0]), np.zeros(1), 1.0)
+    vertex = np.array([1.0, 0.0])
+    assert np.isposinf(dual_gradient(prob, inp, vertex)[1])
+    sol = solve_subproblem(prob, inp)
+    # the derivative is positive inside, so the Newton step reaches t = 1;
+    # the stand-in ascent entry never steps toward the infinite coordinate,
+    # so that vertex is stationary
+    np.testing.assert_array_equal(sol.lambda_star, vertex)
+    assert sol.dual_stationarity == 0.0
+    assert sol.theta == dual_value(prob, inp, vertex) == -4.5
+    assert sol.active_set == (1,)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_pair_budget_counts_dual_evaluations(budget):
+    prob, calls = counting_prox(make_jos1_l1(3))
+    x = np.array([2.5, -1.5, 0.7])
+    inp = SubproblemInput.build(prob, x, x, 1.0)
+    cfg = DualSolverConfig(tolerance=1e-300, max_iterations=budget)
+    with pytest.raises(MaxIterationsExceededError, match="budget") as err:
+        solve_subproblem(prob, inp, cfg)
+    assert len(calls) == budget
+    best = err.value.best
+    assert best.lambda_star.sum() == pytest.approx(1.0)
+    assert np.isfinite(best.theta)
+    assert best.dual_stationarity > 0.0
