@@ -8,139 +8,22 @@ the accelerated one from an extrapolated point with momentum
 coefficients that yield the faster rate.  A benchmark harness (CLI
 ``mopg``) runs seeded batches on four shipped test problems and writes
 CSV records, front data and summaries.
+
+The public names are those of each module's ``__all__``.
 """
 
-from .core import (
-    Array,
-    DimensionMismatchError,
-    MultiObjectiveProblem,
-    NaNObjectiveError,
-    eval_F,
-    moreau_envelope_value,
-    project_nonneg,
-    soft_threshold,
-)
-from .subproblem import (
-    DualSolverConfig,
-    MaxIterationsExceededError,
-    NonFiniteValueError,
-    SubproblemError,
-    SubproblemInput,
-    SubproblemSolution,
-    dual_gradient,
-    dual_value,
-    primal_from_dual,
-    project_simplex,
-    psi_values,
-    solve_subproblem,
-)
-from .solvers import (
-    BacktrackDivergedError,
-    IterationRecord,
-    IterationTrace,
-    MomentumSchedule,
-    SolverConfig,
-    TerminationStatus,
-    backtrack_ell,
-    momentum_next,
-    run_accpgm,
-    run_pgm,
-)
-from .merit import MeritConfig, UnsupportedProblemError, rate_constant, u0_estimate
-from .problems import (
-    PROBLEM_IDS,
-    ParetoSegment,
-    UnknownProblemError,
-    jos1_pareto_distance,
-    jos1_pareto_segment,
-    make_fds,
-    make_fds_nonneg,
-    make_jos1,
-    make_jos1_l1,
-    make_problem,
-    start_box,
-)
-from .bench import (
-    ALGORITHMS,
-    BenchmarkRecord,
-    RunPlan,
-    SummaryRow,
-    build_parser,
-    format_summary,
-    main,
-    read_records,
-    run_experiment,
-    run_experiment_detailed,
-    sample_starts,
-    summarize,
-    summary_csv,
-    write_csv,
-    write_front,
-    write_traces,
-)
+from . import bench, core, merit, problems, solvers, subproblem
+from .bench import *
+from .core import *
+from .merit import *
+from .problems import *
+from .solvers import *
+from .subproblem import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Array",
-    "MultiObjectiveProblem",
-    "DimensionMismatchError",
-    "NaNObjectiveError",
-    "eval_F",
-    "soft_threshold",
-    "project_nonneg",
-    "moreau_envelope_value",
-    "DualSolverConfig",
-    "SubproblemInput",
-    "SubproblemSolution",
-    "SubproblemError",
-    "NonFiniteValueError",
-    "MaxIterationsExceededError",
-    "psi_values",
-    "primal_from_dual",
-    "dual_value",
-    "dual_gradient",
-    "project_simplex",
-    "solve_subproblem",
-    "SolverConfig",
-    "MomentumSchedule",
-    "momentum_next",
-    "TerminationStatus",
-    "IterationRecord",
-    "IterationTrace",
-    "BacktrackDivergedError",
-    "backtrack_ell",
-    "run_pgm",
-    "run_accpgm",
-    "MeritConfig",
-    "UnsupportedProblemError",
-    "u0_estimate",
-    "rate_constant",
-    "PROBLEM_IDS",
-    "UnknownProblemError",
-    "ParetoSegment",
-    "start_box",
-    "make_problem",
-    "make_jos1",
-    "make_jos1_l1",
-    "make_fds",
-    "make_fds_nonneg",
-    "jos1_pareto_segment",
-    "jos1_pareto_distance",
-    "ALGORITHMS",
-    "BenchmarkRecord",
-    "RunPlan",
-    "sample_starts",
-    "run_experiment",
-    "run_experiment_detailed",
-    "write_csv",
-    "read_records",
-    "write_front",
-    "write_traces",
-    "SummaryRow",
-    "summarize",
-    "format_summary",
-    "summary_csv",
-    "build_parser",
-    "main",
+    name
+    for module in (core, subproblem, solvers, merit, problems, bench)
+    for name in module.__all__
 ]

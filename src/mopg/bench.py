@@ -488,7 +488,13 @@ def _plan_from_args(args: argparse.Namespace) -> RunPlan:
         max_iterations=args.max_iter,
     )
     config = replace(config, dual=replace(config.dual, tolerance=args.dual_tol))
-    workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
+    if args.threads is not None:
+        workers = args.threads
+    elif hasattr(os, "sched_getaffinity"):
+        # the CPUs this process may run on (taskset, a container's cpuset)
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     return RunPlan(
         problem=args.problem,
         algorithms=algorithms,

@@ -1,17 +1,18 @@
-"""Outer solver loops: the proximal gradient method and its accelerated variant.
+"""Outer solver loop: the proximal gradient method and its accelerated variant.
 
-Both methods repeat: solve one subproblem at the current anchor and
-extrapolation points (identical for the plain method), test the
-infinity-norm residual ``||z - y||_inf`` against ``epsilon``, and step.
-The proximal parameter ``ell`` starts at ``ell_init`` and is doubled by
-backtracking until the per-objective surrogate descent inequality
-``F_i(z) - F_i(x) <= theta`` holds; the accepted value carries over to
-later iterations and never shrinks.
+One loop serves both methods, since the plain method is the accelerated
+one with every extrapolation factor zero.  Each iteration solves one
+subproblem anchored at the current point ``x`` and centered at ``y``,
+tests the infinity-norm residual ``||z - y||_inf`` against ``epsilon``,
+and steps to ``z``.  The proximal parameter ``ell`` starts at
+``ell_init`` and is doubled by ``backtrack_ell`` until the per-objective
+surrogate descent inequality holds at a ``z`` inside ``dom F``; the
+accepted value carries over to later iterations and never shrinks.
 
-The accelerated variant extrapolates ``y = x_k + gamma_k (x_k - x_{k-1})``
-with the step coefficients produced by ``momentum_next``; the resulting
-objective values are not monotone step to step but never exceed the
-values at the starting point.
+The plain method keeps ``y = x``.  The accelerated one extrapolates
+``y = x_k + gamma_k (x_k - x_{k-1})`` with the factors produced by
+``momentum_next``; its objective values are not monotone step to step
+but never exceed the values at the starting point.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .core import Array, MultiObjectiveProblem, NaNObjectiveError, eval_F
 from .subproblem import (
     DualSolverConfig,
+    NonFiniteValueError,
     SubproblemError,
     SubproblemInput,
     SubproblemSolution,
@@ -46,6 +48,8 @@ __all__ = [
 ]
 
 _MAX_BACKTRACKS = 60
+# relative slack of the descent test in backtrack_ell
+_BACKTRACK_SLACK = 1e-12
 
 
 class BacktrackDivergedError(RuntimeError):
@@ -66,8 +70,10 @@ class SolverConfig:
 
     ``backtracking=False`` pins ``ell`` at ``ell_init`` for the whole run
     (useful when a Lipschitz bound is known exactly, and for rate
-    studies); ``keep_points`` stores the iterate and extrapolation point
-    on every trace record.
+    studies): ``backtrack_ell`` then accepts its first solve unless the
+    solve leaves ``dom F``.  ``keep_points`` stores the iterate, and for
+    the accelerated method the extrapolation point, on every trace
+    record.
     """
 
     epsilon: float = 1e-5
@@ -75,7 +81,6 @@ class SolverConfig:
     backtrack_factor: float = 2.0
     max_iterations: int = 10000
     dual: DualSolverConfig = field(default_factory=DualSolverConfig)
-    backtrack_slack: float = 1e-12
     backtracking: bool = True
     keep_points: bool = False
 
@@ -88,8 +93,6 @@ class SolverConfig:
             raise ValueError("backtrack_factor must exceed 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.backtrack_slack < 0:
-            raise ValueError("backtrack_slack must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -194,21 +197,25 @@ def backtrack_ell(
 
     Accepts the first ``ell`` whose solution satisfies
     ``max_i (F_i(z) - F_i(x_anchor)) <= max_i psi_i(z)`` up to the
-    relative slack ``backtrack_slack * (1 + |max psi|)`` — the
-    descent-lemma inequality at the proximal point, which any ``ell`` at
-    or above the gradient Lipschitz constant passes.  The right-hand side
-    is the per-objective model value at ``z`` rather than the dual value
+    relative slack ``1e-12 * (1 + |max psi|)`` — the descent-lemma
+    inequality at the proximal point, which any ``ell`` at or above the
+    gradient Lipschitz constant passes.  The right-hand side is the
+    per-objective model value at ``z`` rather than the dual value
     ``theta``: the two differ by the dual solver's residual duality gap,
     and measuring primal against dual would make near-stationary
-    iterations fail the test at every ``ell``.  Returns the accepted
-    ``ell``, its solution and the number of doublings; the solution
-    carries the ``F(z_star)`` of the test in ``F_z``.  A caller that holds
-    ``F(x_anchor)`` passes it as ``F_x``.
+    iterations fail the test at every ``ell``.  A ``z`` outside
+    ``dom F`` never passes.  With ``cfg.backtracking`` off, the first
+    solve is accepted as long as ``z`` lies in ``dom F``.  Returns the
+    accepted ``ell``, its solution and the number of doublings; the
+    solution carries the ``F(z_star)`` of the test in ``F_z``.  A caller
+    that holds ``F(x_anchor)`` passes it as ``F_x``.
 
     Raises
     ------
     BacktrackDivergedError
         After more than 60 doublings.
+    NonFiniteValueError
+        With ``cfg.backtracking`` off, when ``z`` lies outside ``dom F``.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -220,8 +227,15 @@ def backtrack_ell(
         F_z = eval_F(problem, sol.z_star)
         gap = float((F_z - inp.F_x).max())
         model = float(np.max(sol.psi))
-        if gap <= model + cfg.backtrack_slack * (1.0 + abs(model)):
+        if math.isfinite(gap) and (
+            not cfg.backtracking
+            or gap <= model + _BACKTRACK_SLACK * (1.0 + abs(model))
+        ):
             return ell, replace(sol, F_z=F_z), backtracks
+        if not cfg.backtracking:
+            raise NonFiniteValueError(
+                f"proximal point leaves dom F (ell = {ell:.3e})"
+            )
         backtracks += 1
         if backtracks > _MAX_BACKTRACKS:
             raise BacktrackDivergedError(
@@ -236,34 +250,6 @@ def backtrack_ell(
 _STEP_ERRORS = (SubproblemError, BacktrackDivergedError, NaNObjectiveError)
 
 
-def _accepted_step(
-    problem: MultiObjectiveProblem,
-    x_anchor: Array,
-    y: Array,
-    ell: float,
-    F_x: Array,
-    cfg: SolverConfig,
-) -> tuple[float, SubproblemSolution, int]:
-    """One accepted solve; its solution carries ``F(z_star)`` in ``F_z``."""
-    if cfg.backtracking:
-        return backtrack_ell(problem, x_anchor, y, ell, cfg, F_x)
-    inp = SubproblemInput.build(problem, x_anchor, y, ell, F_x)
-    sol = solve_subproblem(problem, inp, cfg.dual)
-    return ell, replace(sol, F_z=eval_F(problem, sol.z_star)), 0
-
-
-def _start_point(problem: MultiObjectiveProblem, x0: Array) -> tuple[Array, Array]:
-    x = np.array(x0, dtype=float, copy=True)
-    F_x = eval_F(problem, x)
-    if not np.isfinite(F_x).all():
-        raise ValueError("x0 lies outside dom F")
-    return x, F_x
-
-
-def _failure(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 def run_pgm(
     problem: MultiObjectiveProblem,
     x0: Array,
@@ -276,39 +262,7 @@ def run_pgm(
     ``||z - x||_inf < epsilon``.  Objective values decrease monotonically
     in every component.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    x, F_x = _start_point(problem, x0)
-    ell = cfg.ell_init
-    records: list[IterationRecord] = []
-    status = TerminationStatus.MAX_ITERATIONS
-    failure = None
-    for k in range(1, cfg.max_iterations + 1):
-        try:
-            ell, sol, nbt = _accepted_step(problem, x, x, ell, F_x, cfg)
-        except _STEP_ERRORS as exc:
-            status = TerminationStatus.SUBPROBLEM_FAILURE
-            failure = _failure(exc)
-            break
-        x, F_x = sol.z_star, sol.F_z
-        records.append(
-            IterationRecord(
-                k=k,
-                objective=F_x,
-                residual_inf=sol.residual_inf,
-                ell=ell,
-                theta=sol.theta,
-                backtracks=nbt,
-                lam=sol.lambda_star,
-                point=x if cfg.keep_points else None,
-            )
-        )
-        if sol.residual_inf < cfg.epsilon:
-            status = TerminationStatus.CONVERGED
-            break
-    return IterationTrace(
-        records=tuple(records), status=status, x_final=x, failure=failure
-    )
+    return _run(problem, x0, cfg, accelerated=False)
 
 
 def run_accpgm(
@@ -323,10 +277,22 @@ def run_accpgm(
     ``||z - y_k||_inf < epsilon``, and otherwise sets
     ``x_k = z`` and ``y_{k+1} = x_k + gamma_k (x_k - x_{k-1})``.
     """
+    return _run(problem, x0, cfg, accelerated=True)
+
+
+def _run(
+    problem: MultiObjectiveProblem,
+    x0: Array,
+    cfg: Optional[SolverConfig],
+    accelerated: bool,
+) -> IterationTrace:
+    """The outer loop of both methods; the plain one keeps ``y = x``."""
     if cfg is None:
         cfg = SolverConfig()
-    x_prev, F_x = _start_point(problem, x0)
-    y = x_prev
+    x = np.array(x0, dtype=float)
+    # an x0 outside dom F makes the first SubproblemInput raise ValueError
+    F_x = eval_F(problem, x)
+    y = x
     sched = MomentumSchedule()
     ell = cfg.ell_init
     records: list[IterationRecord] = []
@@ -334,12 +300,12 @@ def run_accpgm(
     failure = None
     for k in range(1, cfg.max_iterations + 1):
         try:
-            ell, sol, nbt = _accepted_step(problem, x_prev, y, ell, F_x, cfg)
+            ell, sol, nbt = backtrack_ell(problem, x, y, ell, cfg, F_x)
         except _STEP_ERRORS as exc:
             status = TerminationStatus.SUBPROBLEM_FAILURE
-            failure = _failure(exc)
+            failure = f"{type(exc).__name__}: {exc}"
             break
-        F_x = sol.F_z
+        x_prev, x, F_x = x, sol.z_star, sol.F_z
         records.append(
             IterationRecord(
                 k=k,
@@ -349,17 +315,18 @@ def run_accpgm(
                 theta=sol.theta,
                 backtracks=nbt,
                 lam=sol.lambda_star,
-                point=sol.z_star if cfg.keep_points else None,
-                extrapolation=y if cfg.keep_points else None,
+                point=x if cfg.keep_points else None,
+                extrapolation=y if accelerated and cfg.keep_points else None,
             )
         )
         if sol.residual_inf < cfg.epsilon:
             status = TerminationStatus.CONVERGED
-            x_prev = sol.z_star
             break
-        sched, gamma = momentum_next(sched)
-        y = sol.z_star + gamma * (sol.z_star - x_prev)
-        x_prev = sol.z_star
+        if accelerated:
+            sched, gamma = momentum_next(sched)
+            y = x + gamma * (x - x_prev)
+        else:
+            y = x
     return IterationTrace(
-        records=tuple(records), status=status, x_final=x_prev, failure=failure
+        records=tuple(records), status=status, x_final=x, failure=failure
     )

@@ -50,6 +50,10 @@ _ALPHA_MIN = 1e-12
 _ALPHA_MAX = 1e12
 _HISTORY = 10
 _TAU_MIN = 1e-16
+# Armijo line search of the m >= 3 ascent: step shrink factor and
+# sufficient-increase fraction of the predicted slope
+_ARMIJO_FACTOR = 0.5
+_SUFFICIENT_INCREASE = 1e-4
 # absolute slack in the sufficient-increase test: near the optimum the
 # objective is flat to machine precision while the gradient still carries
 # signal, so steps within float resolution of "no change" must pass
@@ -88,29 +92,20 @@ class DualSolverConfig:
     """Settings for the dual solve.
 
     The defaults keep the dual solve well below the outer stopping
-    threshold so the residual test stays meaningful.  ``max_iterations``
-    bounds the ascent iterations for ``m >= 3``; for ``m = 2`` it bounds
-    the dual evaluations, the first one included.  ``armijo_factor`` and
-    ``sufficient_increase`` tune the line search of the ``m >= 3`` ascent.
+    threshold so the residual test stays meaningful.  ``tolerance``
+    bounds the stationarity measure of ``solve_subproblem``.
+    ``max_iterations`` bounds the ascent iterations for ``m >= 3``; for
+    ``m = 2`` it bounds the dual evaluations, the first one included.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 500
-    armijo_factor: float = 0.5
-    sufficient_increase: float = 1e-4
-    probe_step: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.armijo_factor < 1:
-            raise ValueError("armijo_factor must lie in (0, 1)")
-        if not 0 < self.sufficient_increase < 1:
-            raise ValueError("sufficient_increase must lie in (0, 1)")
-        if not self.probe_step > 0:
-            raise ValueError("probe_step must be positive")
 
 
 @dataclass(frozen=True)
@@ -427,7 +422,7 @@ def solve_subproblem(
     """Maximize the dual over the simplex and recover the primal point.
 
     Stops when the projected-gradient stationarity measure
-    ``||lam - proj(lam + s grad)|| / s`` falls below ``cfg.tolerance``.
+    ``||lam - proj(lam + grad)||`` falls below ``cfg.tolerance``.
     With one objective the dual is a point and the solve is a single
     prox call, which makes the accelerated outer loop coincide with the
     classical fast iterative shrinkage-thresholding scheme.  With two
@@ -481,7 +476,6 @@ def _solve_pair(
     with bisection whenever the secant point falls outside it.  Every
     evaluation counts against ``cfg.max_iterations``.
     """
-    step = cfg.probe_step
     diff = inp.jac_y[0] - inp.jac_y[1]
     curvature = float(diff @ diff) / inp.ell
     # the optimum lies in [lo, hi]; d(lo) > 0 and d(hi) < 0 once evaluated,
@@ -500,9 +494,9 @@ def _solve_pair(
             raise NonFiniteValueError(f"dual objective is {omega}")
         gdir = _ascent_direction(grad)
         d = float(gdir[0] - gdir[1])
-        # closed form of ||lam - proj(lam + s gdir)|| / s for m = 2
-        probe = min(max(t + 0.5 * step * d, 0.0), 1.0)
-        stationarity = _SQRT2 * abs(t - probe) / step
+        # closed form of ||lam - proj(lam + gdir)|| for m = 2
+        probe = min(max(t + 0.5 * d, 0.0), 1.0)
+        stationarity = _SQRT2 * abs(t - probe)
         if stationarity <= cfg.tolerance:
             return _finalize(inp, lam, z, psi, omega, stationarity)
         # near the optimum omega is flat to rounding, so the best iterate
@@ -569,10 +563,8 @@ def _simplex_ascent(
 
     for _ in range(cfg.max_iterations):
         gdir = _ascent_direction(grad)
-        probe = project_simplex(lam + cfg.probe_step * gdir)
-        stationarity = (
-            float(np.linalg.norm(lam - probe)) / cfg.probe_step
-        )
+        probe = project_simplex(lam + gdir)
+        stationarity = float(np.linalg.norm(lam - probe))
         if stationarity <= cfg.tolerance:
             return _finalize(inp, lam, z, psi, omega, stationarity)
 
@@ -588,10 +580,8 @@ def _simplex_ascent(
         if cand is not None:
             z2, psi2, om2, grad2 = _dual_state(problem, inp, cand)
             if isfinite(om2) and om2 >= omega - _LS_SLACK * (1.0 + abs(omega)):
-                probe2 = project_simplex(
-                    cand + cfg.probe_step * _ascent_direction(grad2)
-                )
-                stat2 = float(np.linalg.norm(cand - probe2)) / cfg.probe_step
+                probe2 = project_simplex(cand + _ascent_direction(grad2))
+                stat2 = float(np.linalg.norm(cand - probe2))
                 stepped = stat2 <= 0.5 * stationarity
         if not stepped:
             # nonmonotone reference: the worst dual value in the recent
@@ -607,12 +597,12 @@ def _simplex_ascent(
             while True:
                 cand = lam + tau * d
                 z2, psi2, om2, grad2 = _dual_state(problem, inp, cand)
-                if om2 >= ref + cfg.sufficient_increase * tau * slope - slack:
+                if om2 >= ref + _SUFFICIENT_INCREASE * tau * slope - slack:
                     accepted = True
                     break
                 if tau <= _TAU_MIN:
                     break
-                tau *= cfg.armijo_factor
+                tau *= _ARMIJO_FACTOR
             if isnan(om2) or om2 == float("inf"):
                 raise NonFiniteValueError(f"dual objective is {om2}")
             if not accepted and om2 <= omega:
@@ -633,8 +623,8 @@ def _simplex_ascent(
 
     _, blam, bz, bpsi = best
     bomega, bgrad = _dual_state(problem, inp, blam)[2:]
-    bprobe = project_simplex(blam + cfg.probe_step * _ascent_direction(bgrad))
-    bstat = float(np.linalg.norm(blam - bprobe)) / cfg.probe_step
+    bprobe = project_simplex(blam + _ascent_direction(bgrad))
+    bstat = float(np.linalg.norm(blam - bprobe))
     if bstat <= cfg.tolerance:
         return _finalize(inp, blam, bz, bpsi, bomega, bstat)
     raise MaxIterationsExceededError(

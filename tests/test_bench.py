@@ -22,7 +22,7 @@ from mopg import (
     write_front,
     write_traces,
 )
-from mopg.bench import _fmt
+from mopg.bench import _fmt, _plan_from_args
 
 
 def tiny_plan(**overrides) -> RunPlan:
@@ -364,6 +364,15 @@ def test_build_parser_accepts_full_flag_set(tmp_path):
     assert args.problem == "jos1-l1"
     assert args.alg == "acc"
     assert args.bt_factor == 4.0
+
+
+def test_threads_default_follows_the_cpu_affinity_mask(tmp_path, monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0}, raising=False)
+    out, front = str(tmp_path / "r.csv"), str(tmp_path / "f.csv")
+    args = build_parser().parse_args(
+        ["bench", "--problem", "jos1", "--out", out, "--front-out", front]
+    )
+    assert _plan_from_args(args).workers == 1
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):

@@ -1,8 +1,11 @@
-"""Tests for the problem model and the proximal toolkit."""
+"""Tests for the problem model, the proximal toolkit and the package surface."""
+
+import importlib
 
 import numpy as np
 import pytest
 
+import mopg
 from mopg import (
     DimensionMismatchError,
     MultiObjectiveProblem,
@@ -227,3 +230,19 @@ def test_problem_requires_positive_dimensions():
             nonsmooth_values=lambda x: np.zeros(0),
             weighted_prox=lambda w, v: v,
         )
+
+
+# ---------------------------------------------------------------------------
+# package surface
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "module", ["core", "subproblem", "solvers", "merit", "problems", "bench"]
+)
+def test_package_exports_every_public_name(module):
+    sub = importlib.import_module(f"mopg.{module}")
+    for name in sub.__all__:
+        assert name in mopg.__all__
+        assert getattr(mopg, name) is getattr(sub, name)
+    assert len(mopg.__all__) == len(set(mopg.__all__))
