@@ -463,7 +463,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-iter", type=int, default=10000, help="outer iteration budget"
     )
     bench.add_argument(
-        "--dual-tol", type=float, default=1e-10, help="dual stationarity tolerance"
+        "--dual-tol",
+        type=float,
+        default=1e-10,
+        help="relative dual stationarity tolerance",
     )
     bench.add_argument(
         "--threads",

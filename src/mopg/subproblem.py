@@ -12,17 +12,19 @@ subproblem minimizes over ``z``
 ``max_i psi_i``).  Strong duality turns this into maximizing a concave,
 differentiable function ``omega`` over the standard simplex; the primal
 minimizer is recovered from the dual optimum by one weighted-prox call.
-The plain proximal step is the special case ``y = x``.
+The plain proximal step is the special case ``y = x``.  Without nonsmooth
+terms the dual is the concave quadratic of Fliege and Svaiter (2000), with
+curvature ``J J^T / ell``, and three or more objectives are solved face by
+face as in Wolfe's nearest-point method (1976).
 
 Dual points are plain ``(m,)`` arrays: nonnegative, summing to one.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from math import isfinite, isnan, sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -46,22 +48,12 @@ __all__ = [
 # i is active iff psi_i >= max psi - TIE_TOL * (1 + |max psi|)
 ACTIVE_TIE_TOL = 1e-8
 
-_ALPHA_MIN = 1e-12
-_ALPHA_MAX = 1e12
-_HISTORY = 10
-_TAU_MIN = 1e-16
-# Armijo line search of the m >= 3 ascent: step shrink factor and
-# sufficient-increase fraction of the predicted slope
-_ARMIJO_FACTOR = 0.5
-_SUFFICIENT_INCREASE = 1e-4
-# absolute slack in the sufficient-increase test: near the optimum the
-# objective is flat to machine precision while the gradient still carries
-# signal, so steps within float resolution of "no change" must pass
-_LS_SLACK = 1e-15
 # stand-in ascent entry for +inf gradient coordinates: never step toward a
 # coordinate whose g_i is infinite at the current primal point
 _NEG_BIG = -1e32
-_SQRT2 = sqrt(2.0)
+
+# lam = base + t * delta = (t, 1 - t), the two-objective simplex
+_PAIR_SEGMENT = (np.array([0.0, 1.0]), np.array([1.0, -1.0]))
 
 
 class SubproblemError(RuntimeError):
@@ -73,13 +65,13 @@ class NonFiniteValueError(SubproblemError):
 
 
 class MaxIterationsExceededError(SubproblemError):
-    """Dual ascent missed the stationarity tolerance within the budget.
+    """The dual solve missed the stationarity tolerance.
 
     Attributes
     ----------
     best : SubproblemSolution
-        The iterate with the largest dual value seen; with two objectives,
-        the one with the smallest stationarity measure.
+        With two objectives the iterate of smallest stationarity, with
+        more the last one the dual confirmed.
     """
 
     def __init__(self, message: str, best: "SubproblemSolution"):
@@ -93,9 +85,10 @@ class DualSolverConfig:
 
     The defaults keep the dual solve well below the outer stopping
     threshold so the residual test stays meaningful.  ``tolerance``
-    bounds the stationarity measure of ``solve_subproblem``.
-    ``max_iterations`` bounds the ascent iterations for ``m >= 3``; for
-    ``m = 2`` it bounds the dual evaluations, the first one included.
+    bounds the relative stationarity measure of ``solve_subproblem``.
+    ``max_iterations`` bounds, for ``m = 2``, the dual evaluations; for
+    ``m >= 3``, the face changes of the active-set solves plus the dual
+    evaluations of the ray searches.
     """
 
     tolerance: float = 1e-10
@@ -131,6 +124,8 @@ class SubproblemInput:
         # cached derived arrays; recomputed on replace()
         object.__setattr__(self, "jac_t", np.ascontiguousarray(self.jac_y.T))
         object.__setattr__(self, "shift", self.f_y - self.F_x)
+        # the part of the stationarity scale that is fixed per instance
+        object.__setattr__(self, "shift_max", max(map(abs, self.shift.tolist())))
 
     @staticmethod
     def build(
@@ -232,8 +227,9 @@ def primal_from_dual(
 
 def _dual_state(
     problem: MultiObjectiveProblem, inp: SubproblemInput, lam: Array
-) -> tuple[Array, Array, float, Array]:
-    """Primal point, psi vector, dual value and dual gradient at ``lam``."""
+) -> tuple[Array, Array, float, Array, bool]:
+    """Primal point, psi vector, dual value and dual gradient at ``lam``,
+    and whether the gradient passed the finiteness test."""
     u = inp.y_extrap - (inp.jac_t @ lam) / inp.ell
     z = problem.weighted_prox(lam / inp.ell, u)
     dz = z - inp.y_extrap
@@ -243,10 +239,11 @@ def _dual_state(
     psi = grad + quad
     # omega = lam @ grad + quad: the Lagrangian minimum over z, which keeps
     # the quadratic term unscaled so finite-difference probes slightly off
-    # the simplex still see the exact gradient
-    if np.isfinite(grad).all():
-        omega = float(lam @ grad) + quad
-    else:
+    # the simplex still see the exact gradient; it is finite iff every
+    # gradient entry is (barring an overflow, which takes the general branch)
+    omega = float(lam @ grad) + quad
+    finite = isfinite(omega)
+    if not finite:
         # 0 * inf convention: zero-weight coordinates contribute nothing
         act = lam > 0
         ga = grad[act]
@@ -254,7 +251,7 @@ def _dual_state(
             omega = float("inf")
         else:
             omega = float(lam[act] @ ga) + quad
-    return z, psi, omega, grad
+    return z, psi, omega, grad, finite
 
 
 def dual_value(
@@ -267,8 +264,7 @@ def dual_value(
     + (ell/2) ||z - y||^2``; on the simplex this equals
     ``sum_i lam_i psi_i(z_lam)``.
     """
-    _check_dual_point(problem, lam)
-    return _dual_state(problem, inp, np.asarray(lam, dtype=float))[2]
+    return _dual_state(problem, inp, _dual_point(problem, lam))[2]
 
 
 def dual_gradient(
@@ -281,11 +277,10 @@ def dual_gradient(
     A ``+inf`` coordinate signals ``g_i`` infinite at the recovered
     primal point, possible only for zero-weight indicator components.
     """
-    _check_dual_point(problem, lam)
-    return _dual_state(problem, inp, np.asarray(lam, dtype=float))[3]
+    return _dual_state(problem, inp, _dual_point(problem, lam))[3]
 
 
-def _check_dual_point(problem: MultiObjectiveProblem, lam: Array) -> None:
+def _dual_point(problem: MultiObjectiveProblem, lam: Array) -> Array:
     # the dual objective extends naturally to any nonnegative weights, and
     # finite-difference probes step slightly off the simplex; only reject
     # clearly invalid inputs
@@ -294,6 +289,7 @@ def _check_dual_point(problem: MultiObjectiveProblem, lam: Array) -> None:
         raise ValueError(f"lam has shape {lam.shape}, expected ({problem.m},)")
     if (lam < -1e-9).any() or abs(float(lam.sum()) - 1.0) > 0.5:
         raise ValueError("lam must lie near the standard simplex")
+    return lam
 
 
 def project_simplex(v: Array) -> Array:
@@ -310,107 +306,55 @@ def project_simplex(v: Array) -> Array:
     return np.maximum(v - tau, 0.0)
 
 
-def _ascent_direction(grad: Array) -> Array:
-    """Gradient with +inf entries replaced by a large negative stand-in."""
-    if np.isfinite(grad).all():
-        return grad
-    if np.isnan(grad).any():
-        raise NonFiniteValueError("dual gradient evaluated to NaN")
-    return np.where(np.isposinf(grad), _NEG_BIG, grad)
+class _Point(NamedTuple):
+    """One dual evaluation and what the solvers take from it."""
+
+    lam: Array
+    z: Array
+    psi: Array
+    omega: float
+    gdir: Array  # the gradient, +inf entries replaced by _NEG_BIG
+    scale: float  # 1 + max_i |f_i(y) - F_i(x)| + max_i |grad_i| (finite)
 
 
-def _newton_candidate(
-    Q: Array, g: Array, lam: Array, probe: Array
-) -> Optional[Array]:
-    """Quadratic-model step on the working face, pulled back to the simplex.
-
-    ``Q`` is the model curvature (Gram matrix of the smooth gradients over
-    ``ell``), exact for problems without nonsmooth terms and an upper
-    curvature surrogate otherwise, so the proposed step errs short.  The
-    working face is the union of the supports of ``lam`` and of the
-    projected-gradient probe; coordinates pinned at zero that the model
-    step would push negative are dropped and the step is re-solved.
-    Returns ``None`` when no usable step exists (the caller falls back to
-    the line-searched gradient step).
-    """
-    m = lam.size
-    support = np.flatnonzero((lam > 0.0) | (probe > 0.0))
-    for _ in range(m):
-        k = support.size
-        if k == 0:
-            return None
-        if k == 1:
-            cand = np.zeros(m)
-            cand[support[0]] = 1.0
-            if np.array_equal(cand, lam):
-                return None
-            return cand
-        # equality-constrained model step: maximize the local quadratic on
-        # the affine hull of the face (step components sum to zero)
-        A = np.zeros((k + 1, k + 1))
-        A[:k, :k] = Q[np.ix_(support, support)]
-        A[:k, k] = 1.0
-        A[k, :k] = 1.0
-        b = np.zeros(k + 1)
-        b[:k] = g[support]
-        try:
-            d = np.linalg.solve(A, b)[:k]
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(d).all():
-            return None
-        lam_s = lam[support]
-        neg = d < 0.0
-        hit = None
-        t = 1.0
-        if neg.any():
-            at_zero = neg & (lam_s <= 0.0)
-            if at_zero.any():
-                support = support[~at_zero]
-                continue
-            ratios = lam_s[neg] / -d[neg]
-            j = int(np.argmin(ratios))
-            if ratios[j] < 1.0:
-                t = float(ratios[j])
-                hit = int(support[np.flatnonzero(neg)[j]])
-        cand = np.zeros(m)
-        cand[support] = lam_s + t * d
-        if hit is not None:
-            cand[hit] = 0.0
-        cand = np.maximum(cand, 0.0)
-        total = float(cand.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            return None
-        cand /= total
-        if np.array_equal(cand, lam):
-            return None
-        return cand
-    return None
-
-
-def _finalize(
-    inp: SubproblemInput,
-    lam: Array,
-    z: Array,
-    psi: Array,
-    omega: float,
-    stationarity: float,
-) -> SubproblemSolution:
-    finite = np.isfinite(psi)
-    if finite.all():
-        top = float(psi.max())
-        cut = top - ACTIVE_TIE_TOL * (1.0 + abs(top))
-        active = tuple(int(i) for i in np.flatnonzero(psi >= cut))
+def _evaluate(
+    problem: MultiObjectiveProblem, inp: SubproblemInput, lam: Array
+) -> _Point:
+    z, psi, omega, grad, finite = _dual_state(problem, inp, lam)
+    if isnan(omega) or omega == float("inf"):
+        raise NonFiniteValueError(f"dual objective is {omega}")
+    if finite:
+        # m is small: Python floats beat a NumPy reduction here
+        scale = 1.0 + inp.shift_max + max(map(abs, grad.tolist()))
     else:
-        active = tuple(int(i) for i in np.flatnonzero(np.isposinf(psi)))
+        if np.isnan(grad).any():
+            raise NonFiniteValueError("dual gradient evaluated to NaN")
+        inf = np.isposinf(grad)
+        scale = 1.0 + float(np.abs(grad[~inf]).max(initial=0.0)) + inp.shift_max
+        grad = np.where(inf, _NEG_BIG, grad)
+    return _Point(lam, z, psi, omega, grad, scale)
+
+
+def _stationarity(p: _Point) -> float:
+    """The projected-gradient measure ``||lam - proj(lam + gdir)||``."""
+    return float(np.linalg.norm(p.lam - project_simplex(p.lam + p.gdir)))
+
+
+def _finalize(inp: SubproblemInput, p: _Point, stat: float) -> SubproblemSolution:
+    if np.isfinite(p.psi).all():
+        top = float(p.psi.max())
+        cut = top - ACTIVE_TIE_TOL * (1.0 + abs(top))
+        active = tuple(int(i) for i in np.flatnonzero(p.psi >= cut))
+    else:
+        active = tuple(int(i) for i in np.flatnonzero(np.isposinf(p.psi)))
     return SubproblemSolution(
-        z_star=z,
-        lambda_star=lam,
-        theta=float(omega),
-        psi=psi,
+        z_star=p.z,
+        lambda_star=p.lam,
+        theta=float(p.omega),
+        psi=p.psi,
         active_set=active,
-        residual_inf=float(np.abs(z - inp.y_extrap).max()),
-        dual_stationarity=float(stationarity),
+        residual_inf=float(np.abs(p.z - inp.y_extrap).max()),
+        dual_stationarity=float(stat),
     )
 
 
@@ -422,18 +366,17 @@ def solve_subproblem(
     """Maximize the dual over the simplex and recover the primal point.
 
     Stops when the projected-gradient stationarity measure
-    ``||lam - proj(lam + grad)||`` falls below ``cfg.tolerance``.
-    With one objective the dual is a point and the solve is a single
-    prox call, which makes the accelerated outer loop coincide with the
-    classical fast iterative shrinkage-thresholding scheme.  With two
-    objectives the dual is a concave function of ``t = lam_0`` on
-    ``[0, 1]``, and a bracketed root search on its nonincreasing
-    derivative finds the optimum in a few dual evaluations.  With three
-    or more, a projected gradient ascent runs from the uniform dual
-    point, with a Barzilai-Borwein initial step and a nonmonotone Armijo
-    backtracking line search; a quadratic-model face step is tried first
-    whenever it halves the stationarity measure without degrading the
-    dual value.
+    ``||lam - proj(lam + grad)||`` is at most ``cfg.tolerance`` times
+    ``1 + max_i |grad_i| + max_i |f_i(y) - F_i(x)|``.  With one objective
+    the dual is a point and the solve is a single prox call, which makes
+    the accelerated outer loop coincide with the classical fast iterative
+    shrinkage-thresholding scheme.  With two objectives a bracketed root
+    search on the derivative of the dual, a concave function of
+    ``t = lam_0``, takes a few dual evaluations.  With three or more, a
+    primal active-set method maximizes a concave quadratic model of the
+    dual face by face, and one dual evaluation confirms the optimum;
+    without nonsmooth terms the model is the dual itself, so a solve takes
+    two evaluations, the uniform point and the optimum.
 
     Raises
     ------
@@ -441,43 +384,53 @@ def solve_subproblem(
         If the dual objective evaluates to NaN or +inf.
     MaxIterationsExceededError
         If stationarity is not reached within ``cfg.max_iterations``, or
-        for two objectives when the bracket around the optimum shrinks to
-        adjacent floats first; the error carries the best iterate found.
+        when the search can make no more progress; the error carries the
+        best iterate found.
     """
     if cfg is None:
         cfg = DualSolverConfig()
-
     if problem.m == 1:
-        lam = np.ones(1)
-        z, psi, omega, _ = _dual_state(problem, inp, lam)
-        if not isfinite(omega):
-            raise NonFiniteValueError(f"dual objective is {omega}")
-        return _finalize(inp, lam, z, psi, omega, 0.0)
-    if problem.m == 2:
-        return _solve_pair(problem, inp, cfg)
-    return _simplex_ascent(problem, inp, cfg)
+        return _finalize(inp, _evaluate(problem, inp, np.ones(1)), 0.0)
+    solve = _solve_pair if problem.m == 2 else _solve_simplex
+    p, stationarity, reason = solve(problem, inp, cfg)
+    if reason is not None:
+        raise MaxIterationsExceededError(
+            f"dual solve stopped ({reason}) at stationarity {stationarity:.3e} "
+            f"(relative tolerance {cfg.tolerance:.3e})",
+            _finalize(inp, p, stationarity),
+        )
+    return _finalize(inp, p, stationarity)
 
 
-def _solve_pair(
+def _root_search(
     problem: MultiObjectiveProblem,
     inp: SubproblemInput,
-    cfg: DualSolverConfig,
-) -> SubproblemSolution:
-    """Two objectives: find the zero of ``d(t) = omega'(t)``, ``lam = (t, 1 - t)``.
+    tolerance: float,
+    base: Array,
+    delta: Array,
+    t: float,
+    budget: int,
+) -> tuple[_Point, float, int, Optional[str]]:
+    """Find the zero of ``d(t) = gdir(base + t delta) . delta`` on ``[0, 1]``.
 
-    ``d = gdir_0 - gdir_1`` with ``gdir`` the ascent direction, and it is
-    nonincreasing because the dual is concave.  The first step from
-    ``t = 1/2`` is a Newton step on the model curvature
-    ``||J_0 - J_1||^2 / ell``, exact without nonsmooth terms.  Until ``d``
-    changes sign, secant steps through the last two points extrapolate
-    toward the unexplored vertex, and the vertex itself is tried when the
-    secant leaves the interval; once ``d`` changes sign, Illinois steps
-    (regula falsi with the stale end's value halved) shrink the bracket,
-    with bisection whenever the secant point falls outside it.  Every
-    evaluation counts against ``cfg.max_iterations``.
+    ``d``, the dual's slope along the segment, is nonincreasing.  From
+    ``t`` comes a Newton step on the curvature ``||J^T delta||^2 / ell``,
+    exact without nonsmooth terms; until ``d`` changes sign, secant steps
+    toward the unexplored end (or the end itself); then Illinois steps
+    (regula falsi with the stale end's value halved), bisecting when the
+    secant leaves the bracket.  Stops when the segment stationarity
+    ``||delta|| |t - clip(t + d / ||delta||^2, 0, 1)|`` is within
+    ``tolerance`` times the scale, which for two objectives is the test
+    on the simplex.  Returns the point of smallest segment stationarity,
+    that stationarity, the evaluations made (at most ``budget``) and
+    ``None`` or why the search stopped short.
     """
-    diff = inp.jac_y[0] - inp.jac_y[1]
-    curvature = float(diff @ diff) / inp.ell
+    v = inp.jac_t @ delta
+    curvature = float(v @ v) / inp.ell
+    # m is small: Python floats beat NumPy for the segment arithmetic
+    b0, d0 = base.tolist(), delta.tolist()
+    norm2 = sum([e * e for e in d0])
+    norm = sqrt(norm2)
     # the optimum lies in [lo, hi]; d(lo) > 0 and d(hi) < 0 once evaluated,
     # with the values Illinois-weighted (None while that end is unexplored)
     lo, hi = 0.0, 1.0
@@ -486,23 +439,16 @@ def _solve_pair(
     side = 0
     t_prev = d_prev = float("nan")
     best = None
-    t = 0.5
-    for _ in range(cfg.max_iterations):
-        lam = np.array([t, 1.0 - t])
-        z, psi, omega, grad = _dual_state(problem, inp, lam)
-        if isnan(omega) or omega == float("inf"):
-            raise NonFiniteValueError(f"dual objective is {omega}")
-        gdir = _ascent_direction(grad)
-        d = float(gdir[0] - gdir[1])
-        # closed form of ||lam - proj(lam + gdir)|| for m = 2
-        probe = min(max(t + 0.5 * d, 0.0), 1.0)
-        stationarity = _SQRT2 * abs(t - probe)
-        if stationarity <= cfg.tolerance:
-            return _finalize(inp, lam, z, psi, omega, stationarity)
+    for used in range(1, budget + 1):
+        p = _evaluate(problem, inp, np.array([b + t * e for b, e in zip(b0, d0)]))
+        d = sum([g * e for g, e in zip(p.gdir.tolist(), d0)])
+        stationarity = norm * abs(t - min(max(t + d / norm2, 0.0), 1.0))
         # near the optimum omega is flat to rounding, so the best iterate
         # is the one closest to stationarity
-        if best is None or stationarity < best[4]:
-            best = (omega, lam, z, psi, stationarity)
+        if best is None or stationarity < best[1]:
+            best = (p, stationarity)
+        if stationarity <= tolerance * p.scale:
+            return p, stationarity, used, None
 
         if d > 0.0:
             lo, d_lo = t, d
@@ -519,8 +465,7 @@ def _solve_pair(
             if not lo < t_new < hi:
                 t_new = 0.5 * (lo + hi)
                 if not lo < t_new < hi:
-                    reason = "bracket collapsed to adjacent floats"
-                    break
+                    return (*best, used, "bracket collapsed to adjacent floats")
         else:
             if isnan(t_prev):
                 t_new = t + d / curvature if curvature > 0.0 else float("nan")
@@ -529,106 +474,160 @@ def _solve_pair(
             else:
                 t_new = float("nan")
             if not lo < t_new < hi:
-                # the unexplored vertex: stationary there, or a bracket end
+                # the unexplored end: stationary there, or a bracket end
                 t_new = hi if d > 0.0 else lo
         t_prev, d_prev, t = t, d, t_new
-    else:
-        reason = "dual evaluation budget spent"
-    bomega, blam, bz, bpsi, bstat = best
-    raise MaxIterationsExceededError(
-        f"dual root search stopped ({reason}) at stationarity {bstat:.3e} "
-        f"(tolerance {cfg.tolerance:.3e})",
-        _finalize(inp, blam, bz, bpsi, bomega, bstat),
+    return (*best, budget, "budget spent")
+
+
+def _solve_pair(
+    problem: MultiObjectiveProblem, inp: SubproblemInput, cfg: DualSolverConfig
+) -> tuple[_Point, float, Optional[str]]:
+    """Two objectives: the root search on ``lam = (t, 1 - t)`` from ``t = 1/2``."""
+    p, stationarity, _, reason = _root_search(
+        problem, inp, cfg.tolerance, *_PAIR_SEGMENT, 0.5, cfg.max_iterations
     )
+    return p, stationarity, reason
 
 
-def _simplex_ascent(
-    problem: MultiObjectiveProblem,
-    inp: SubproblemInput,
-    cfg: DualSolverConfig,
-) -> SubproblemSolution:
-    """Projected gradient ascent on the simplex, for any ``m >= 2``."""
+def _solve_simplex(
+    problem: MultiObjectiveProblem, inp: SubproblemInput, cfg: DualSolverConfig
+) -> tuple[_Point, float, Optional[str]]:
+    """Three or more objectives: confirmed active-set solves of a model.
+
+    The model at ``lam_c`` (at first the uniform point) is the concave
+    quadratic ``c . lam - lam^T Q lam / 2``, ``c = gdir(lam_c) + Q lam_c``,
+    which shares the dual's gradient there; ``Q`` starts as the curvature
+    ``J J^T / ell``, exact without nonsmooth terms.  An unconfirmed model
+    optimum becomes ``lam_c`` if the dual has not dropped there and does
+    not rise beyond it; otherwise the root search runs along the ray from
+    ``lam_c`` through it to the boundary.  Either way ``Q`` then takes a
+    BFGS update, unless the step shows no curvature or meets the stand-in
+    for an infinite gradient.
+    """
     m = problem.m
-    lam = np.full(m, 1.0 / m)
-    z, psi, omega, grad = _dual_state(problem, inp, lam)
-    if isnan(omega) or omega == float("inf"):
-        raise NonFiniteValueError(f"dual objective is {omega}")
-    best = (omega, lam, z, psi)
-    history: deque[float] = deque([omega], maxlen=_HISTORY)
-    alpha = 1.0
-    stationarity = float("inf")
-    # model curvature for the face step; exact when every nonsmooth term
-    # vanishes and an upper surrogate otherwise
     Q = (inp.jac_y @ inp.jac_t) / inp.ell
+    cur = _evaluate(problem, inp, np.full(m, 1.0 / m))
+    steps = cfg.max_iterations
+    while steps > 0:
+        lam, used = _model_optimum(
+            Q, cur.gdir + Q @ cur.lam, cur.lam, steps, cfg.tolerance * cur.scale
+        )
+        steps -= used
+        new = _evaluate(problem, inp, lam)
+        stationarity = _stationarity(new)
+        if stationarity <= cfg.tolerance * new.scale:
+            return new, stationarity, None
+        if np.array_equal(lam, cur.lam):
+            return new, stationarity, "model optimum not confirmed"
+        delta = lam - cur.lam
+        d_new = float(new.gdir @ delta)
+        neg = delta < 0.0
+        if steps > 0 and (new.omega < cur.omega or d_new > 0.0) and neg.any():
+            reach = float((cur.lam[neg] / -delta[neg]).min())
+            # start where the slope's secant through lam_c and the model
+            # optimum vanishes; no coordinate passes zero up to the boundary
+            d_cur = float(cur.gdir @ delta)
+            t = d_cur / (d_cur - d_new) / reach if d_cur > d_new else 1.0
+            t = min(max(t, 0.0), 1.0)
+            ray = np.maximum(reach * delta, -cur.lam)
+            new, _, used, _ = _root_search(
+                problem, inp, cfg.tolerance, cur.lam, ray, t, steps
+            )
+            steps -= used
+            stationarity = _stationarity(new)
+            if stationarity <= cfg.tolerance * new.scale:
+                return new, stationarity, None
+        s, y = new.lam - cur.lam, cur.gdir - new.gdir
+        Qs = Q @ s
+        sQs, ys = float(s @ Qs), float(y @ s)
+        if sQs > 0.0 and ys > 0.0 and np.abs(y).max() < -0.5 * _NEG_BIG:
+            Q = Q - np.outer(Qs, Qs) / sQs + np.outer(y, y) / ys
+        cur = new
+    return cur, stationarity, "budget spent"
 
-    for _ in range(cfg.max_iterations):
-        gdir = _ascent_direction(grad)
-        probe = project_simplex(lam + gdir)
-        stationarity = float(np.linalg.norm(lam - probe))
-        if stationarity <= cfg.tolerance:
-            return _finalize(inp, lam, z, psi, omega, stationarity)
 
-        # try the quadratic-model face step first; badly conditioned duals
-        # stall a pure first-order ascent short of the stationarity target.
-        # The model is exact only when every nonsmooth term vanishes, so the
-        # step counts only when it decisively shrinks the stationarity
-        # measure without degrading the value: judged any looser it can
-        # park on a wrong face or oscillate around a kink of the dual,
-        # shutting out the globally convergent projected step below.
-        stepped = False
-        cand = _newton_candidate(Q, gdir, lam, probe)
-        if cand is not None:
-            z2, psi2, om2, grad2 = _dual_state(problem, inp, cand)
-            if isfinite(om2) and om2 >= omega - _LS_SLACK * (1.0 + abs(omega)):
-                probe2 = project_simplex(cand + _ascent_direction(grad2))
-                stat2 = float(np.linalg.norm(cand - probe2))
-                stepped = stat2 <= 0.5 * stationarity
-        if not stepped:
-            # nonmonotone reference: the worst dual value in the recent
-            # window, with slack absorbing ulp-level ties near the optimum
-            ref = min(history)
-            slack = _LS_SLACK * (1.0 + abs(ref))
-            # the projected step is an ascent direction for any alpha > 0;
-            # a negative inner product here is rounding noise, so clamp it
-            d = project_simplex(lam + alpha * gdir) - lam
-            slope = max(float(gdir @ d), 0.0)
-            tau = 1.0
-            accepted = False
-            while True:
-                cand = lam + tau * d
-                z2, psi2, om2, grad2 = _dual_state(problem, inp, cand)
-                if om2 >= ref + _SUFFICIENT_INCREASE * tau * slope - slack:
-                    accepted = True
-                    break
-                if tau <= _TAU_MIN:
-                    break
-                tau *= _ARMIJO_FACTOR
-            if isnan(om2) or om2 == float("inf"):
-                raise NonFiniteValueError(f"dual objective is {om2}")
-            if not accepted and om2 <= omega:
-                break
-        # Barzilai-Borwein step length from the accepted move
-        s = cand - lam
-        yv = _ascent_direction(grad2) - gdir
-        sy = float(s @ yv)
-        if sy < 0.0:
-            alpha = min(max(-float(s @ s) / sy, _ALPHA_MIN), _ALPHA_MAX)
-        else:
-            # curvature signal lost in rounding noise; restart the step
-            alpha = 1.0
-        lam, z, psi, omega, grad = cand, z2, psi2, om2, grad2
-        history.append(omega)
-        if omega > best[0]:
-            best = (omega, lam, z, psi)
+def _model_optimum(
+    Q: Array, c: Array, lam: Array, budget: int, tolerance: float
+) -> tuple[Array, int]:
+    """Maximize ``c . lam - lam^T Q lam / 2`` over the simplex from ``lam``.
 
-    _, blam, bz, bpsi = best
-    bomega, bgrad = _dual_state(problem, inp, blam)[2:]
-    bprobe = project_simplex(blam + _ascent_direction(bgrad))
-    bstat = float(np.linalg.norm(blam - bprobe))
-    if bstat <= cfg.tolerance:
-        return _finalize(inp, blam, bz, bpsi, bomega, bstat)
-    raise MaxIterationsExceededError(
-        f"dual ascent stalled at stationarity {bstat:.3e} "
-        f"(tolerance {cfg.tolerance:.3e})",
-        _finalize(inp, blam, bz, bpsi, bomega, bstat),
-    )
+    A primal active-set method from the support of ``lam``.  Each step
+    solves the face's KKT system, the bordered matrix
+    ``[[Q_WW, 1], [1^T, 0]]``.  A face solution outside the simplex is
+    approached up to the boundary, where the blocking coordinate leaves
+    the face; a feasible one is the optimum unless an outside coordinate's
+    model gradient beats the face multiplier (by a fraction of
+    ``tolerance``), and then the largest joins.  On a singular face (as
+    when ``n < m`` or rows repeat) the model is linear along a null
+    vector, which the step follows uphill to the boundary.  After a step
+    of length zero the smallest joining index goes first (Bland's rule).
+    Returns the point and the face steps taken, at most ``budget``.
+    """
+    m = c.size
+    sigma = float(Q.diagonal().max()) or 1.0
+    # the bordered matrix of the whole simplex, with Q scaled by sigma
+    # (which leaves the face solutions unchanged); a face takes its free
+    # rows and columns and the border's
+    K = np.ones((m + 1, m + 1))
+    K[:m, :m] = Q / sigma
+    K[m, m] = 0.0
+    rhs = np.append(c / sigma, 1.0)
+    Kq, cq = K[:m, :m], rhs[:m]
+    # rounding in the model gain per unit of step length: |Q / sigma| <= 1
+    noise = 1e-12 * sqrt(m) * (float(np.abs(cq).max()) + 1.0)
+    # stationarity on the simplex holds within tolerance when every
+    # outside coordinate is within tolerance / sqrt(m) of the multiplier
+    join_tol = 0.1 * tolerance / (sigma * sqrt(m))
+    lam = lam.copy()
+    free = np.append(lam > 0.0, True)
+    bland = False
+    for used in range(1, budget + 1):
+        rows = np.flatnonzero(free)
+        face = rows[:-1]
+        Kf = K.take(rows, 0).take(rows, 1)
+        Qf = Kf[:-1, :-1]
+        lam_f = lam.take(face)
+        # the model gradient on the face
+        r = cq.take(face) - Qf @ lam_f
+        try:
+            sol = np.linalg.solve(Kf, rhs.take(rows))
+        except np.linalg.LinAlgError:
+            sol = None
+        if sol is not None:
+            step = sol[:-1] - lam_f
+            # the model gains a - b / 2 at the face solution; a face optimum
+            # has a = b, as its gradient minus the multiplier is Q step on
+            # the face, and a step that loses more than rounding is noise
+            # on a singular face
+            a = float((r - sol[-1]) @ step)
+            b = float(step @ (Qf @ step))
+            if not (isfinite(b) and b <= 2.0 * a + noise * sqrt(float(step @ step))):
+                sol = None
+        if sol is None:
+            # singular face: a null vector, uphill, to the boundary
+            step = np.linalg.svd(Kf)[2][-1, :-1]
+            if r @ step < 0.0:
+                step = -step
+        ratios = np.divide(lam_f, -step, out=np.full(face.size, np.inf), where=step < 0)
+        j = int(ratios.argmin())
+        t = float(ratios[j])
+        if t < 1.0 or (sol is None and t < np.inf):
+            # blocked: move to the boundary; the first blocking coordinate
+            # (smallest index) leaves the face
+            lam[face] = np.maximum(lam_f + t * step, 0.0)
+            lam[face[j]] = 0.0
+            free[face[j]] = False
+            bland = t == 0.0
+            continue
+        if sol is None:
+            break
+        lam[face] = np.maximum(sol[:-1], 0.0)
+        gain = cq - Kq @ lam - sol[-1]
+        gain[free[:m]] = -np.inf
+        j = int(gain.argmax())
+        if not gain[j] > join_tol:
+            break
+        free[int(np.flatnonzero(gain > join_tol)[0]) if bland else j] = True
+        bland = False
+    return lam / lam.sum(), used

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from mopg import (
+    BenchmarkRecord,
     MeritConfig,
     MultiObjectiveProblem,
     RunPlan,
@@ -32,6 +33,7 @@ from mopg import (
     soft_threshold,
     solve_subproblem,
     start_box,
+    summarize,
     u0_estimate,
 )
 from oracles import (
@@ -53,8 +55,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 class BatchStats:
     """Streaming aggregates over one problem's 100-start benchmark."""
 
-    mean_iterations: dict = field(default_factory=dict)
-    converged: dict = field(default_factory=dict)
+    # the SummaryRow of each algorithm
+    summary: dict = field(default_factory=dict)
     wall_seconds: float = 0.0
     pgm_monotonicity_violation: float = 0.0
     acc_containment_violation: float = 0.0
@@ -67,16 +69,29 @@ def _run_batch(problem_id: str) -> BatchStats:
     problem = make_problem(plan.problem, plan.n)
     cfg = plan.config  # defaults: eps 1e-5, ell0 1, factor 2, 10000 iters
     stats = BatchStats()
-    iterations = {"pgm": [], "acc": []}
-    converged = {"pgm": 0, "acc": 0}
+    records = []
     begin = time.perf_counter()
-    for x0 in starts:
+    for i, x0 in enumerate(starts):
         F0 = eval_F(problem, x0)
         for alg, runner in (("pgm", run_pgm), ("acc", run_accpgm)):
             trace = runner(problem, x0, cfg)
-            iterations[alg].append(trace.iterations)
-            if trace.status.value == "Converged":
-                converged[alg] += 1
+            # the counts summarize() reads; traces are dropped as we go
+            records.append(
+                BenchmarkRecord(
+                    problem=problem_id,
+                    algorithm=alg,
+                    n=plan.n,
+                    start_id=i,
+                    seed=plan.seed,
+                    iterations=trace.iterations,
+                    backtracks=trace.total_backtracks,
+                    final_ell=trace.final_ell,
+                    wall_time_ms=0.0,
+                    residual_inf=trace.final_residual,
+                    objective=(),
+                    status=trace.status.value,
+                )
+            )
             objs = np.array([rec.objective for rec in trace.records])
             if alg == "pgm":
                 steps = np.vstack([F0[None, :], objs])
@@ -95,10 +110,7 @@ def _run_batch(problem_id: str) -> BatchStats:
                     jos1_pareto_distance(trace.x_final),
                 )
     stats.wall_seconds = time.perf_counter() - begin
-    stats.mean_iterations = {
-        alg: float(np.mean(vals)) for alg, vals in iterations.items()
-    }
-    stats.converged = converged
+    stats.summary = {row.algorithm: row for row in summarize(records)}
     return stats
 
 
@@ -112,7 +124,7 @@ def bench():
 
 def test_criterion_1_jos1_iteration_counts(bench):
     s = bench["jos1"]
-    pgm, acc = s.mean_iterations["pgm"], s.mean_iterations["acc"]
+    pgm, acc = s.summary["pgm"].mean_iterations, s.summary["acc"].mean_iterations
     ratio = acc / pgm
     ok = (
         174.0 <= pgm <= 290.0
@@ -126,13 +138,14 @@ def test_criterion_1_jos1_iteration_counts(bench):
         f"jos1 n=50, 100 starts: PGM mean {pgm:.1f} in [174, 290], "
         f"Acc-PGM mean {acc:.1f} in [49, 81], ratio {ratio:.3f} <= 0.45, "
         f"batch {s.wall_seconds:.0f}s < 120s "
-        f"(converged {s.converged['pgm']}/{s.converged['acc']} of 100 each)",
+        f"(converged {s.summary['pgm'].converged}/{s.summary['acc'].converged} "
+        "of 100 each)",
     )
 
 
 def test_criterion_2_jos1_l1_ratio(bench):
     s = bench["jos1-l1"]
-    pgm, acc = s.mean_iterations["pgm"], s.mean_iterations["acc"]
+    pgm, acc = s.summary["pgm"].mean_iterations, s.summary["acc"].mean_iterations
     ratio = acc / pgm
     ok = acc < pgm and 0.5 <= ratio <= 0.95 and s.wall_seconds < 180.0
     report(
@@ -145,19 +158,25 @@ def test_criterion_2_jos1_l1_ratio(bench):
 
 def test_criterion_3_fds_ratios(bench):
     s1, s2 = bench["fds"], bench["fds-nonneg"]
-    r1 = s1.mean_iterations["acc"] / s1.mean_iterations["pgm"]
-    r2 = s2.mean_iterations["acc"] / s2.mean_iterations["pgm"]
+    r1 = s1.summary["acc"].mean_iterations / s1.summary["pgm"].mean_iterations
+    r2 = s2.summary["acc"].mean_iterations / s2.summary["pgm"].mean_iterations
     combined = s1.wall_seconds + s2.wall_seconds
+
+    def means(s):
+        # the means include capped runs, so each carries its converged count
+        acc, pgm = s.summary["acc"], s.summary["pgm"]
+        return (
+            f"acc {acc.mean_iterations:.1f} [{acc.converged}/{acc.runs} converged]"
+            f" / pgm {pgm.mean_iterations:.1f} [{pgm.converged}/{pgm.runs} converged]"
+        )
+
     ok = r1 <= 0.6 and r2 <= 0.6 and combined < 600.0
     report(
         3,
         ok,
-        f"fds ratio {r1:.3f} <= 0.6 "
-        f"(acc {s1.mean_iterations['acc']:.1f} / pgm "
-        f"{s1.mean_iterations['pgm']:.1f}), "
-        f"fds-nonneg ratio {r2:.3f} <= 0.6 "
-        f"(acc {s2.mean_iterations['acc']:.1f} / pgm "
-        f"{s2.mean_iterations['pgm']:.1f}), combined {combined:.0f}s < 600s",
+        f"fds ratio {r1:.3f} <= 0.6 ({means(s1)}), "
+        f"fds-nonneg ratio {r2:.3f} <= 0.6 ({means(s2)}), "
+        f"combined {combined:.0f}s < 600s",
     )
 
 

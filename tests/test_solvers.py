@@ -298,7 +298,7 @@ def test_jos1_l1_iteration_counts_are_pinned():
     ],
 )
 def test_three_objective_runs_are_pinned(problem, counts):
-    # the m >= 3 dual ascent and the ell backtracking, pinned as
+    # the m >= 3 dual solver and the ell backtracking, pinned as
     # (iterations, backtracks, final ell) per start
     prob = make_problem(problem, 10)
     lo, hi = start_box(problem, 10)
@@ -311,6 +311,61 @@ def test_three_objective_runs_are_pinned(problem, counts):
             assert trace.status is TerminationStatus.CONVERGED
             got.append((trace.iterations, trace.total_backtracks, trace.final_ell))
         assert got == want
+
+
+# a uniform start in [0, 2]^50 on which the first dual solve of fds-nonneg
+# once stalled, ending both methods in SubproblemFailure after 0 steps
+_FDS_NONNEG_STALL_START = np.array(
+    [
+        1.4541045854671208, 0.05024073498743675, 0.8000230155291681,
+        0.06034507615284945, 0.9578116640255991, 1.1180487359663136,
+        0.8160146841272298, 1.4795055275006292, 1.5346479680643537,
+        0.6985557544056387, 0.5429713869015487, 1.546281427201318,
+        0.5473261881432743, 0.29486678511415243, 0.6853519395664953,
+        0.23937669220599145, 1.6343389951701022, 0.01031013628687627,
+        1.2169494152785858, 1.144395706462856, 1.5210239505446446,
+        0.23522523432062847, 1.8712779135409012, 1.9080612765916163,
+        0.5357024286907595, 0.8231318429764383, 1.907449310908945,
+        1.9588403217263242, 0.3672090479769332, 0.6017867631600033,
+        1.0297841664604535, 1.3092425808260193, 0.6492179138273249,
+        1.5844830939481285, 0.1000334108977361, 1.714987766636435,
+        1.4205337780034815, 0.24745381639322317, 1.7828712475477286,
+        1.9662573638272296, 1.9738710136078188, 0.46098279701256994,
+        1.293496326827679, 1.0450329572437291, 1.0301020776006249,
+        0.24627547481074874, 0.5516287315081514, 1.5781272646661393,
+        1.259070218143118, 0.10167640159799518,
+    ]
+)
+
+
+def test_fds_nonneg_start_that_stalled_the_first_step_converges():
+    prob = make_problem("fds-nonneg", 50)
+    trace = run_accpgm(prob, _FDS_NONNEG_STALL_START)
+    assert trace.status is TerminationStatus.CONVERGED
+    # PGM needs thousands of steps here; its first ones must go through
+    trace = run_pgm(prob, _FDS_NONNEG_STALL_START, SolverConfig(max_iterations=50))
+    assert trace.status is TerminationStatus.MAX_ITERATIONS
+
+
+def test_accpgm_converges_on_badly_scaled_quadratics():
+    # eight quadratics s_i ||x - a_i||^2 / (2n) with s_i drawn from
+    # {1e-3, 1, 1e3}: the dual's rows differ in scale by up to 1e6.  The
+    # projected-gradient dual ascent once stalled here on 3 of 8 starts
+    n = 20
+    rng = np.random.default_rng((7, 8))
+    centres = rng.uniform(-1.0, 1.0, (8, n))
+    scales = rng.choice([1e-3, 1.0, 1e3], 8)
+    prob = MultiObjectiveProblem(
+        m=8,
+        n=n,
+        smooth_values=lambda x: scales * ((x - centres) ** 2).sum(axis=1) / (2 * n),
+        smooth_jacobian=lambda x: scales[:, None] * (x - centres) / n,
+        nonsmooth_values=lambda x: np.zeros(8),
+        weighted_prox=lambda w, v: v,
+    )
+    for _ in range(8):
+        trace = run_accpgm(prob, rng.uniform(-2.0, 2.0, n))
+        assert trace.status is TerminationStatus.CONVERGED, trace.failure
 
 
 @pytest.mark.parametrize("backtracking", [True, False])

@@ -26,7 +26,7 @@ from mopg import (
     solve_subproblem,
     soft_threshold,
 )
-from mopg.subproblem import _simplex_ascent
+from mopg.subproblem import _solve_simplex
 from oracles import (
     InstanceG,
     brute_subproblem,
@@ -483,14 +483,15 @@ def test_non_finite_dual_raises():
 _PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
-def linear_pair(jac: np.ndarray, const: np.ndarray) -> MultiObjectiveProblem:
-    """Two linear objectives ``jac @ x + const`` with ``g = 0``."""
+def linear_problem(jac: np.ndarray, const: np.ndarray) -> MultiObjectiveProblem:
+    """Linear objectives ``jac @ x + const`` with ``g = 0``."""
+    m = jac.shape[0]
     return MultiObjectiveProblem(
-        m=2,
+        m=m,
         n=jac.shape[1],
         smooth_values=lambda x: jac @ x + const,
         smooth_jacobian=lambda x: jac,
-        nonsmooth_values=lambda x: np.zeros(2),
+        nonsmooth_values=lambda x: np.zeros(m),
         weighted_prox=lambda w, v: v,
     )
 
@@ -506,6 +507,21 @@ def counting_prox(prob: MultiObjectiveProblem) -> tuple[MultiObjectiveProblem, l
     return dataclasses.replace(prob, weighted_prox=prox), calls
 
 
+def scaled_rows(seed, m, n, scales, duplicate):
+    """A g = 0 instance whose Jacobian rows have the given scales; row 1
+    repeats row 0 when ``duplicate``.  Returns the problem with a counting
+    prox, its prox calls, the input and the face-enumeration optimum."""
+    rng = np.random.default_rng(seed)
+    jac = rng.normal(size=(m, n)) * np.array(scales[:m])[:, None]
+    if duplicate:
+        jac[1] = jac[0]
+    prob, calls = counting_prox(linear_problem(jac, rng.normal(size=m)))
+    x = rng.normal(size=n)
+    inp = SubproblemInput.build(prob, x, x + rng.normal(size=n), rng.uniform(0.5, 4.0))
+    _, theta_ref = exact_dual_g0(jac @ jac.T, inp.f_y - inp.F_x, inp.ell)
+    return prob, calls, inp, theta_ref
+
+
 @_PROPERTY
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -514,40 +530,46 @@ def counting_prox(prob: MultiObjectiveProblem) -> tuple[MultiObjectiveProblem, l
     duplicate=st.booleans(),
 )
 def test_pair_matches_face_enumeration_on_scaled_rows(seed, n, scales, duplicate):
-    rng = np.random.default_rng(seed)
-    jac = rng.normal(size=(2, n)) * np.array(scales)[:, None]
-    if duplicate:
-        jac[1] = jac[0]
-    prob = linear_pair(jac, rng.normal(size=2))
-    x = rng.normal(size=n)
-    inp = SubproblemInput.build(prob, x, x + rng.normal(size=n), rng.uniform(0.5, 4.0))
-    _, theta_ref = exact_dual_g0(jac @ jac.T, inp.f_y - inp.F_x, inp.ell)
-    try:
-        sol = solve_subproblem(prob, inp)
-    except MaxIterationsExceededError as err:
-        # one float step in t can move the derivative by more than the
-        # absolute tolerance; the search must then end on a collapsed
-        # bracket, never on the evaluation budget
-        assert "bracket collapsed" in str(err)
-        sol = err.best
+    prob, _, inp, theta_ref = scaled_rows(seed, 2, n, scales, duplicate)
+    sol = solve_subproblem(prob, inp)
     assert sol.theta == pytest.approx(theta_ref, abs=1e-9 * (1.0 + abs(theta_ref)))
 
 
-@settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "nonneg"]))
-def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
+@_PROPERTY
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 10),
+    n=st.integers(1, 11),
+    scales=st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=10, max_size=10),
+    duplicate=st.booleans(),
+)
+def test_simplex_matches_face_enumeration_on_scaled_rows(seed, m, n, scales, duplicate):
+    # n < m makes Q = J J^T / ell singular on the larger faces
+    prob, calls, inp, theta_ref = scaled_rows(seed, m, n, scales, duplicate)
+    sol = solve_subproblem(prob, inp)
+    assert sol.theta == pytest.approx(theta_ref, abs=1e-9 * (1.0 + abs(theta_ref)))
+    assert sol.lambda_star.min() >= 0.0
+    assert sol.lambda_star.sum() == pytest.approx(1.0, abs=1e-12)
+    # without nonsmooth terms the model is the dual: the uniform point,
+    # then the confirmed model optimum
+    assert len(calls) <= 2
+
+
+def nonsmooth_instance(seed, m, kind):
+    """Diagonal quadratics plus l1 or orthant terms, with the brute-force
+    optimum of the subproblem."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
-    A = [np.diag(rng.uniform(0.2, 2.0, n)) for _ in range(2)]
-    b = [rng.normal(0.0, 1.0, n) for _ in range(2)]
-    gs = [InstanceG(kind, tau=float(rng.uniform(0.1, 0.8))) for _ in range(2)]
+    A = [np.diag(rng.uniform(0.2, 2.0, n)) for _ in range(m)]
+    b = [rng.normal(0.0, 1.0, n) for _ in range(m)]
+    gs = [InstanceG(kind, tau=float(rng.uniform(0.1, 0.8))) for _ in range(m)]
     taus = np.array([g.tau for g in gs])
 
     def values(x):
-        return np.array([0.5 * x @ A[i] @ x + b[i] @ x for i in range(2)])
+        return np.array([0.5 * x @ A[i] @ x + b[i] @ x for i in range(m)])
 
     def jac(x):
-        return np.vstack([A[i] @ x + b[i] for i in range(2)])
+        return np.vstack([A[i] @ x + b[i] for i in range(m)])
 
     def prox(w, v):
         if kind == "nonneg":
@@ -555,7 +577,7 @@ def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
         return soft_threshold(v, float(w @ taus))
 
     prob = MultiObjectiveProblem(
-        m=2,
+        m=m,
         n=n,
         smooth_values=values,
         smooth_jacobian=jac,
@@ -568,13 +590,79 @@ def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
         y = np.maximum(y, 0.0)
     ell = float(rng.uniform(0.8, 4.0))
     inp = SubproblemInput.build(prob, x, y, ell)
+    return prob, inp, brute_subproblem(values, jac, gs, x, y, ell)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "nonneg"]))
+def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
+    prob, inp, (z_ref, theta_ref) = nonsmooth_instance(seed, 2, kind)
     sol = solve_subproblem(prob, inp)
-    z_ref, theta_ref = brute_subproblem(values, jac, gs, x, y, ell)
     assert np.max(np.abs(sol.z_star - z_ref)) <= 1e-4
     assert abs(sol.theta - theta_ref) <= 1e-6
-    # the general ascent solves the same dual
-    ref = _simplex_ascent(prob, inp, DualSolverConfig())
-    assert sol.theta == pytest.approx(ref.theta, abs=1e-9 * (1.0 + abs(ref.theta)))
+    # the active-set solver of three or more objectives solves the same dual
+    ref, _, reason = _solve_simplex(prob, inp, DualSolverConfig())
+    assert reason is None
+    assert sol.theta == pytest.approx(ref.omega, abs=1e-9 * (1.0 + abs(ref.omega)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(3, 4),
+    kind=st.sampled_from(["l1", "nonneg"]),
+)
+def test_simplex_matches_brute_force_with_nonsmooth_terms(seed, m, kind):
+    prob, inp, (z_ref, theta_ref) = nonsmooth_instance(seed, m, kind)
+    sol = solve_subproblem(prob, inp)
+    assert np.max(np.abs(sol.z_star - z_ref)) <= 1e-4
+    assert abs(sol.theta - theta_ref) <= 1e-6
+
+
+def test_g0_simplex_solves_make_two_dual_evaluations():
+    # fds has g = 0: the uniform point gives the exact model, and one more
+    # evaluation confirms its optimum
+    rng = np.random.default_rng(89)
+    prob, calls = counting_prox(make_fds(10))
+    for _ in range(20):
+        x = rng.uniform(-2.0, 2.0, 10)
+        inp = SubproblemInput.build(prob, x, x + rng.normal(0.0, 0.3, 10), 4.0)
+        calls.clear()
+        solve_subproblem(prob, inp)
+        assert len(calls) == 2
+
+
+def test_duplicated_rows_end_within_the_face_budget():
+    # ten gradients that take three values in the plane: every face with
+    # more than three coordinates is singular, and ties abound.  Each face
+    # step drops or adds one coordinate, so ten steps leave no room for a
+    # cycle
+    cfg = DualSolverConfig(max_iterations=10)
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        jac = rng.normal(size=(3, 2))[[0, 1, 2] * 3 + [0]]
+        prob, calls = counting_prox(linear_problem(jac, rng.normal(size=10)))
+        x = rng.normal(size=2)
+        inp = SubproblemInput.build(prob, x, x + rng.normal(size=2), 1.0)
+        sol = solve_subproblem(prob, inp, cfg)
+        _, theta_ref = exact_dual_g0(jac @ jac.T, inp.shift, 1.0)
+        assert sol.theta == pytest.approx(theta_ref, abs=1e-12 * (1.0 + abs(theta_ref)))
+        assert len(calls) == 2
+
+
+def test_simplex_budget_counts_face_steps():
+    # from the uniform point the full face's solution leaves the simplex,
+    # so one face step cannot reach the optimum
+    prob = make_fds(3)
+    x = np.array([1.5, -0.5, 0.8])
+    inp = SubproblemInput.build(prob, x, x, 1.0)
+    assert solve_subproblem(prob, inp).lambda_star.min() == 0.0
+    with pytest.raises(MaxIterationsExceededError, match="budget") as err:
+        solve_subproblem(prob, inp, DualSolverConfig(max_iterations=1))
+    best = err.value.best
+    assert best.lambda_star.min() >= 0.0
+    assert best.lambda_star.sum() == pytest.approx(1.0)
+    assert best.dual_stationarity > 1e-10
 
 
 @pytest.mark.parametrize("t_star", [0.0, 1.0])
@@ -582,7 +670,7 @@ def test_pair_finds_vertex_optima(t_star):
     # orthogonal unit rows and shift = J (y - x) = +-(5, -5): the dual
     # derivative keeps one sign on [0, 1], so the optimum is a vertex
     jac = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    prob, calls = counting_prox(linear_pair(jac, np.zeros(2)))
+    prob, calls = counting_prox(linear_problem(jac, np.zeros(2)))
     x = np.array([0.3, -0.2, 0.1])
     sign = 1.0 if t_star == 1.0 else -1.0
     inp = SubproblemInput.build(prob, x, x + sign * np.array([5.0, -5.0, 0.0]), 1.0)
