@@ -138,7 +138,17 @@ def _run_task(
     problem = make_problem(problem_id, n)
     runner = run_pgm if algorithm == "pgm" else run_accpgm
     begin = time.perf_counter()
-    trace = runner(problem, x0, cfg)
+    try:
+        trace = runner(problem, x0, cfg)
+    except Exception as exc:
+        # one start that raises must not abort the batch: its run ends
+        # where it began, with the error in its trace
+        trace = IterationTrace(
+            records=(),
+            status=TerminationStatus.SUBPROBLEM_FAILURE,
+            x_final=np.array(x0, dtype=float),
+            failure=f"{type(exc).__name__}: {exc}",
+        )
     wall_ms = (time.perf_counter() - begin) * 1e3
     return trace, wall_ms
 
@@ -292,9 +302,15 @@ def write_traces(
             directory, f"{problem_id}-{alg}-start{start_id:04d}.csv"
         )
         m = len(trace.records[0].objective) if trace.records else 0
-        header = ["k", "residual_inf", "ell", "theta", "backtracks"] + [
-            f"F{j + 1}" for j in range(m)
-        ]
+        header = [
+            "k",
+            "residual_inf",
+            "ell",
+            "theta",
+            "backtracks",
+            "dual_evals",
+            "dual_stationarity",
+        ] + [f"F{j + 1}" for j in range(m)]
         with _open_out(path) as fh:
             fh.write(",".join(header) + "\n")
             for rec in trace.records:
@@ -304,6 +320,8 @@ def write_traces(
                     _fmt(rec.ell),
                     _fmt(rec.theta),
                     str(rec.backtracks),
+                    str(rec.dual_evals),
+                    _fmt(rec.dual_stationarity),
                     *(_fmt(v) for v in rec.objective),
                 ]
                 fh.write(",".join(row) + "\n")

@@ -130,7 +130,9 @@ class IterationRecord:
 
     ``objective`` is ``F`` at the point this solve produced, ``lam`` the
     dual weights, ``backtracks`` the number of ``ell`` doublings spent in
-    this step.  ``point`` and ``extrapolation`` are populated only under
+    this step, ``dual_evals`` the dual evaluations of all its trials and
+    ``dual_stationarity`` the stationarity the accepted solve reached.
+    ``point`` and ``extrapolation`` are populated only under
     ``SolverConfig.keep_points``.
     """
 
@@ -141,6 +143,8 @@ class IterationRecord:
     theta: float
     backtracks: int
     lam: Array
+    dual_evals: int
+    dual_stationarity: float
     point: Optional[Array] = None
     extrapolation: Optional[Array] = None
 
@@ -192,6 +196,7 @@ def backtrack_ell(
     ell_in: float,
     cfg: Optional[SolverConfig] = None,
     F_x: Optional[Array] = None,
+    lam_start: Optional[Array] = None,
 ) -> tuple[float, SubproblemSolution, int]:
     """Solve the subproblem, doubling ``ell`` until descent is certified.
 
@@ -207,8 +212,11 @@ def backtrack_ell(
     ``dom F`` never passes.  With ``cfg.backtracking`` off, the first
     solve is accepted as long as ``z`` lies in ``dom F``.  Returns the
     accepted ``ell``, its solution and the number of doublings; the
-    solution carries the ``F(z_star)`` of the test in ``F_z``.  A caller
-    that holds ``F(x_anchor)`` passes it as ``F_x``.
+    solution carries the ``F(z_star)`` of the test in ``F_z`` and the dual
+    evaluations of all trials in ``dual_evals``.  A caller that holds
+    ``F(x_anchor)`` passes it as ``F_x``.  The first dual solve starts
+    from ``lam_start`` (see ``solve_subproblem``), each later one from the
+    weights of the trial it replaces.
 
     Raises
     ------
@@ -222,8 +230,10 @@ def backtrack_ell(
     inp = SubproblemInput.build(problem, x_anchor, y, ell_in, F_x)
     ell = float(ell_in)
     backtracks = 0
+    evals = 0
     while True:
-        sol = solve_subproblem(problem, inp, cfg.dual)
+        sol = solve_subproblem(problem, inp, cfg.dual, lam_start)
+        evals += sol.dual_evals
         F_z = eval_F(problem, sol.z_star)
         gap = float((F_z - inp.F_x).max())
         model = float(np.max(sol.psi))
@@ -231,7 +241,7 @@ def backtrack_ell(
             not cfg.backtracking
             or gap <= model + _BACKTRACK_SLACK * (1.0 + abs(model))
         ):
-            return ell, replace(sol, F_z=F_z), backtracks
+            return ell, replace(sol, F_z=F_z, dual_evals=evals), backtracks
         if not cfg.backtracking:
             raise NonFiniteValueError(
                 f"proximal point leaves dom F (ell = {ell:.3e})"
@@ -244,6 +254,7 @@ def backtrack_ell(
             )
         ell *= cfg.backtrack_factor
         inp = inp.with_ell(ell)
+        lam_start = sol.lambda_star
 
 
 # the errors that end a run as SUBPROBLEM_FAILURE
@@ -286,7 +297,11 @@ def _run(
     cfg: Optional[SolverConfig],
     accelerated: bool,
 ) -> IterationTrace:
-    """The outer loop of both methods; the plain one keeps ``y = x``."""
+    """The outer loop of both methods; the plain one keeps ``y = x``.
+
+    Each step's dual solve starts from the weights of the step before;
+    the first starts cold.
+    """
     if cfg is None:
         cfg = SolverConfig()
     x = np.array(x0, dtype=float)
@@ -295,17 +310,18 @@ def _run(
     y = x
     sched = MomentumSchedule()
     ell = cfg.ell_init
+    lam = None
     records: list[IterationRecord] = []
     status = TerminationStatus.MAX_ITERATIONS
     failure = None
     for k in range(1, cfg.max_iterations + 1):
         try:
-            ell, sol, nbt = backtrack_ell(problem, x, y, ell, cfg, F_x)
+            ell, sol, nbt = backtrack_ell(problem, x, y, ell, cfg, F_x, lam)
         except _STEP_ERRORS as exc:
             status = TerminationStatus.SUBPROBLEM_FAILURE
             failure = f"{type(exc).__name__}: {exc}"
             break
-        x_prev, x, F_x = x, sol.z_star, sol.F_z
+        x_prev, x, F_x, lam = x, sol.z_star, sol.F_z, sol.lambda_star
         records.append(
             IterationRecord(
                 k=k,
@@ -314,7 +330,9 @@ def _run(
                 ell=ell,
                 theta=sol.theta,
                 backtracks=nbt,
-                lam=sol.lambda_star,
+                lam=lam,
+                dual_evals=sol.dual_evals,
+                dual_stationarity=sol.dual_stationarity,
                 point=x if cfg.keep_points else None,
                 extrapolation=y if accelerated and cfg.keep_points else None,
             )

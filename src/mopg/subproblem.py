@@ -178,8 +178,11 @@ class SubproblemSolution:
     ``max_i psi_i`` within a tie tolerance; ``residual_inf`` is
     ``||z_star - y||_inf``, the quantity tested by the outer stopping
     rule; ``dual_stationarity`` is the projected-gradient norm at
-    ``lambda_star``; ``F_z`` is ``F(z_star)`` when a caller evaluated it
-    (the descent test of ``backtrack_ell`` does), else ``None``.
+    ``lambda_star``; ``dual_evals`` counts the dual evaluations (one
+    weighted-prox call each) of the solve, or of every trial of the step
+    in the solution ``backtrack_ell`` returns; ``F_z`` is ``F(z_star)``
+    when a caller evaluated it (the descent test of ``backtrack_ell``
+    does), else ``None``.
     """
 
     z_star: Array
@@ -189,6 +192,7 @@ class SubproblemSolution:
     active_set: tuple[int, ...]
     residual_inf: float
     dual_stationarity: float
+    dual_evals: int
     F_z: Optional[Array] = None
 
 
@@ -227,31 +231,35 @@ def primal_from_dual(
 
 def _dual_state(
     problem: MultiObjectiveProblem, inp: SubproblemInput, lam: Array
-) -> tuple[Array, Array, float, Array, bool]:
+) -> tuple[Array, Array, float, Array, Optional[list[float]]]:
     """Primal point, psi vector, dual value and dual gradient at ``lam``,
-    and whether the gradient passed the finiteness test."""
+    and the gradient as Python floats if it passed the finiteness test
+    (else ``None``)."""
     u = inp.y_extrap - (inp.jac_t @ lam) / inp.ell
     z = problem.weighted_prox(lam / inp.ell, u)
     dz = z - inp.y_extrap
     gz = np.asarray(problem.nonsmooth_values(z), dtype=float)
     grad = inp.jac_y @ dz + gz + inp.shift
-    quad = 0.5 * inp.ell * (dz @ dz)
+    quad = 0.5 * inp.ell * float(dz @ dz)
     psi = grad + quad
     # omega = lam @ grad + quad: the Lagrangian minimum over z, which keeps
     # the quadratic term unscaled so finite-difference probes slightly off
     # the simplex still see the exact gradient; it is finite iff every
-    # gradient entry is (barring an overflow, which takes the general branch)
-    omega = float(lam @ grad) + quad
-    finite = isfinite(omega)
-    if not finite:
-        # 0 * inf convention: zero-weight coordinates contribute nothing
-        act = lam > 0
-        ga = grad[act]
-        if np.isinf(ga).any():
-            omega = float("inf")
-        else:
-            omega = float(lam[act] @ ga) + quad
-    return z, psi, omega, grad, finite
+    # gradient entry is (barring an overflow, which takes the general branch).
+    # m is small, and in Python floats a +inf entry at zero weight makes a
+    # quiet NaN where NumPy's matmul would warn
+    values = grad.tolist()
+    omega = sum([a * b for a, b in zip(lam.tolist(), values)]) + quad
+    if isfinite(omega):
+        return z, psi, omega, grad, values
+    # 0 * inf convention: zero-weight coordinates contribute nothing
+    act = lam > 0
+    ga = grad[act]
+    if np.isinf(ga).any():
+        omega = float("inf")
+    else:
+        omega = float(lam[act] @ ga) + quad
+    return z, psi, omega, grad, None
 
 
 def dual_value(
@@ -320,12 +328,12 @@ class _Point(NamedTuple):
 def _evaluate(
     problem: MultiObjectiveProblem, inp: SubproblemInput, lam: Array
 ) -> _Point:
-    z, psi, omega, grad, finite = _dual_state(problem, inp, lam)
+    z, psi, omega, grad, values = _dual_state(problem, inp, lam)
     if isnan(omega) or omega == float("inf"):
         raise NonFiniteValueError(f"dual objective is {omega}")
-    if finite:
+    if values is not None:
         # m is small: Python floats beat a NumPy reduction here
-        scale = 1.0 + inp.shift_max + max(map(abs, grad.tolist()))
+        scale = 1.0 + inp.shift_max + max(map(abs, values))
     else:
         if np.isnan(grad).any():
             raise NonFiniteValueError("dual gradient evaluated to NaN")
@@ -340,7 +348,9 @@ def _stationarity(p: _Point) -> float:
     return float(np.linalg.norm(p.lam - project_simplex(p.lam + p.gdir)))
 
 
-def _finalize(inp: SubproblemInput, p: _Point, stat: float) -> SubproblemSolution:
+def _finalize(
+    inp: SubproblemInput, p: _Point, stat: float, evals: int
+) -> SubproblemSolution:
     if np.isfinite(p.psi).all():
         top = float(p.psi.max())
         cut = top - ACTIVE_TIE_TOL * (1.0 + abs(top))
@@ -355,6 +365,7 @@ def _finalize(inp: SubproblemInput, p: _Point, stat: float) -> SubproblemSolutio
         active_set=active,
         residual_inf=float(np.abs(p.z - inp.y_extrap).max()),
         dual_stationarity=float(stat),
+        dual_evals=evals,
     )
 
 
@@ -362,6 +373,7 @@ def solve_subproblem(
     problem: MultiObjectiveProblem,
     inp: SubproblemInput,
     cfg: Optional[DualSolverConfig] = None,
+    lam_start: Optional[Array] = None,
 ) -> SubproblemSolution:
     """Maximize the dual over the simplex and recover the primal point.
 
@@ -376,10 +388,19 @@ def solve_subproblem(
     primal active-set method maximizes a concave quadratic model of the
     dual face by face, and one dual evaluation confirms the optimum;
     without nonsmooth terms the model is the dual itself, so a solve takes
-    two evaluations, the uniform point and the optimum.
+    two evaluations, the start and the optimum.
+
+    ``lam_start``, a point of the simplex, is where the solve starts: the
+    first ``t`` of the root search with two objectives, the first
+    linearization point and starting support of the active-set method with
+    more.  Without it the solve starts at ``t = 1/2`` or at the uniform
+    point.  The outer loop passes the weights of the step before, which
+    move little from step to step.
 
     Raises
     ------
+    ValueError
+        If ``lam_start`` is not a point of the simplex.
     NonFiniteValueError
         If the dual objective evaluates to NaN or +inf.
     MaxIterationsExceededError
@@ -389,17 +410,43 @@ def solve_subproblem(
     """
     if cfg is None:
         cfg = DualSolverConfig()
-    if problem.m == 1:
-        return _finalize(inp, _evaluate(problem, inp, np.ones(1)), 0.0)
-    solve = _solve_pair if problem.m == 2 else _solve_simplex
-    p, stationarity, reason = solve(problem, inp, cfg)
+    m = problem.m
+    if lam_start is not None:
+        lam_start = _simplex_point(lam_start, m)
+    if m == 1:
+        return _finalize(inp, _evaluate(problem, inp, np.ones(1)), 0.0, 1)
+    if m == 2:
+        t = 0.5 if lam_start is None else float(lam_start[0])
+        p, stationarity, evals, reason = _root_search(
+            problem, inp, cfg.tolerance, *_PAIR_SEGMENT, t, cfg.max_iterations
+        )
+    else:
+        if lam_start is None:
+            lam_start = np.full(m, 1.0 / m)
+        p, stationarity, evals, reason = _solve_simplex(problem, inp, cfg, lam_start)
     if reason is not None:
         raise MaxIterationsExceededError(
             f"dual solve stopped ({reason}) at stationarity {stationarity:.3e} "
             f"(relative tolerance {cfg.tolerance:.3e})",
-            _finalize(inp, p, stationarity),
+            _finalize(inp, p, stationarity, evals),
         )
-    return _finalize(inp, p, stationarity)
+    return _finalize(inp, p, stationarity, evals)
+
+
+def _simplex_point(lam: Array, m: int) -> Array:
+    """``lam`` as a point of the simplex, or ``ValueError``; a start point
+    is used as given, so unlike ``_dual_point`` this allows no slack."""
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != (m,):
+        raise ValueError(f"lam_start has shape {lam.shape}, expected ({m},)")
+    values = lam.tolist()
+    # the sum of m weights that each carry a rounding error
+    if not (
+        all(isfinite(v) and v >= 0.0 for v in values)
+        and abs(sum(values) - 1.0) <= 4.0 * m * 2.0**-52
+    ):
+        raise ValueError("lam_start must be a point of the standard simplex")
+    return lam
 
 
 def _root_search(
@@ -480,22 +527,15 @@ def _root_search(
     return (*best, budget, "budget spent")
 
 
-def _solve_pair(
-    problem: MultiObjectiveProblem, inp: SubproblemInput, cfg: DualSolverConfig
-) -> tuple[_Point, float, Optional[str]]:
-    """Two objectives: the root search on ``lam = (t, 1 - t)`` from ``t = 1/2``."""
-    p, stationarity, _, reason = _root_search(
-        problem, inp, cfg.tolerance, *_PAIR_SEGMENT, 0.5, cfg.max_iterations
-    )
-    return p, stationarity, reason
-
-
 def _solve_simplex(
-    problem: MultiObjectiveProblem, inp: SubproblemInput, cfg: DualSolverConfig
-) -> tuple[_Point, float, Optional[str]]:
+    problem: MultiObjectiveProblem,
+    inp: SubproblemInput,
+    cfg: DualSolverConfig,
+    lam_start: Array,
+) -> tuple[_Point, float, int, Optional[str]]:
     """Three or more objectives: confirmed active-set solves of a model.
 
-    The model at ``lam_c`` (at first the uniform point) is the concave
+    The model at ``lam_c`` (at first ``lam_start``) is the concave
     quadratic ``c . lam - lam^T Q lam / 2``, ``c = gdir(lam_c) + Q lam_c``,
     which shares the dual's gradient there; ``Q`` starts as the curvature
     ``J J^T / ell``, exact without nonsmooth terms.  An unconfirmed model
@@ -503,11 +543,12 @@ def _solve_simplex(
     not rise beyond it; otherwise the root search runs along the ray from
     ``lam_c`` through it to the boundary.  Either way ``Q`` then takes a
     BFGS update, unless the step shows no curvature or meets the stand-in
-    for an infinite gradient.
+    for an infinite gradient.  Returns the last point, its stationarity,
+    the dual evaluations made and ``None`` or why the solve stopped short.
     """
-    m = problem.m
     Q = (inp.jac_y @ inp.jac_t) / inp.ell
-    cur = _evaluate(problem, inp, np.full(m, 1.0 / m))
+    cur = _evaluate(problem, inp, lam_start)
+    evals = 1
     steps = cfg.max_iterations
     while steps > 0:
         lam, used = _model_optimum(
@@ -515,11 +556,12 @@ def _solve_simplex(
         )
         steps -= used
         new = _evaluate(problem, inp, lam)
+        evals += 1
         stationarity = _stationarity(new)
         if stationarity <= cfg.tolerance * new.scale:
-            return new, stationarity, None
+            return new, stationarity, evals, None
         if np.array_equal(lam, cur.lam):
-            return new, stationarity, "model optimum not confirmed"
+            return new, stationarity, evals, "model optimum not confirmed"
         delta = lam - cur.lam
         d_new = float(new.gdir @ delta)
         neg = delta < 0.0
@@ -535,16 +577,17 @@ def _solve_simplex(
                 problem, inp, cfg.tolerance, cur.lam, ray, t, steps
             )
             steps -= used
+            evals += used
             stationarity = _stationarity(new)
             if stationarity <= cfg.tolerance * new.scale:
-                return new, stationarity, None
+                return new, stationarity, evals, None
         s, y = new.lam - cur.lam, cur.gdir - new.gdir
         Qs = Q @ s
         sQs, ys = float(s @ Qs), float(y @ s)
         if sQs > 0.0 and ys > 0.0 and np.abs(y).max() < -0.5 * _NEG_BIG:
             Q = Q - np.outer(Qs, Qs) / sQs + np.outer(y, y) / ys
         cur = new
-    return cur, stationarity, "budget spent"
+    return cur, stationarity, evals, "budget spent"
 
 
 def _model_optimum(

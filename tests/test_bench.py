@@ -1,5 +1,6 @@
 """Tests for the benchmark harness, CSV emission and the CLI."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,6 +154,52 @@ def test_run_experiment_records_do_not_depend_on_worker_count():
         assert a.status == b.status
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_start_that_raises_does_not_abort_the_batch(monkeypatch, workers):
+    import mopg.bench
+
+    plan = tiny_plan(
+        problem="fds-nonneg", workers=workers, config=SolverConfig(max_iterations=20)
+    )
+    clean = run_experiment(plan)
+    starts = sample_starts(plan)
+    # outside dom F: the run's first subproblem raises ValueError
+    starts[1] = starts[1] - 3.0
+    monkeypatch.setattr(mopg.bench, "sample_starts", lambda plan: starts)
+    records, traces = run_experiment_detailed(plan)
+    for got, want in zip(records, clean):
+        if got.start_id != 1:
+            assert got == dataclasses.replace(want, wall_time_ms=got.wall_time_ms)
+            continue
+        trace = traces[(got.algorithm, 1)]
+        assert got.status == "SubproblemFailure" and got.iterations == 0
+        assert trace.failure == "ValueError: x_anchor lies outside dom F"
+        np.testing.assert_array_equal(trace.x_final, starts[1])
+
+
+def test_any_error_of_a_run_ends_it_as_a_failure(monkeypatch):
+    import mopg.bench
+
+    plan = tiny_plan()
+    run_pgm = mopg.bench.run_pgm
+    first = sample_starts(plan)[0]
+
+    def raising(problem, x0, cfg):
+        if np.array_equal(x0, first):
+            raise KeyError("no such thing")
+        return run_pgm(problem, x0, cfg)
+
+    monkeypatch.setattr(mopg.bench, "run_pgm", raising)
+    records, traces = run_experiment_detailed(plan)
+    assert [r.status for r in records if r.algorithm == "pgm"] == [
+        "SubproblemFailure",
+        "Converged",
+        "Converged",
+    ]
+    assert traces[("pgm", 0)].failure == "KeyError: 'no such thing'"
+    assert all(r.status == "Converged" for r in records if r.algorithm == "acc")
+
+
 def test_run_experiment_survives_non_converged_starts():
     plan = tiny_plan(config=SolverConfig(max_iterations=1))
     records = run_experiment(plan)
@@ -238,10 +285,19 @@ def test_write_traces_files_and_headers(tmp_path):
     ]
     with open(os.path.join(directory, names[0]), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "k,residual_inf,ell,theta,backtracks,F1,F2"
+    assert lines[0] == (
+        "k,residual_inf,ell,theta,backtracks,dual_evals,dual_stationarity,F1,F2"
+    )
     ks = [int(line.split(",")[0]) for line in lines[1:]]
     assert ks == list(range(1, len(ks) + 1))
     assert float(lines[-1].split(",")[1]) < plan.config.epsilon
+    trace = traces[("acc", 0)]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(row[5]) for row in rows] == [r.dual_evals for r in trace.records]
+    assert [float(row[6]) for row in rows] == [
+        r.dual_stationarity for r in trace.records
+    ]
+    assert all(r.dual_evals >= 1 for r in trace.records)
 
 
 # ---------------------------------------------------------------------------

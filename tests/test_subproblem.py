@@ -507,6 +507,40 @@ def counting_prox(prob: MultiObjectiveProblem) -> tuple[MultiObjectiveProblem, l
     return dataclasses.replace(prob, weighted_prox=prox), calls
 
 
+def start_point(kind, seed, m):
+    """A dual start: a vertex, a point whose support has at least two and
+    fewer than ``m`` coordinates, or a full-support point."""
+    rng = np.random.default_rng(seed)
+    if kind == "vertex":
+        return np.eye(m)[rng.integers(m)]
+    lam = rng.dirichlet(np.ones(m))
+    if kind == "sparse":
+        lam[rng.choice(m, int(rng.integers(1, m - 1)), replace=False)] = 0.0
+    return lam / lam.sum()
+
+
+def check_warm_starts(prob, calls, inp, cold, lam_start, theta_ref):
+    """Solve from ``lam_start`` and from the cold solution's weights, which
+    is the start the outer loop gives: the same optimum either way."""
+    tol = 1e-9 * (1.0 + abs(theta_ref))
+    sol = solve_subproblem(prob, inp, lam_start=lam_start)
+    assert sol.theta == pytest.approx(theta_ref, abs=tol)
+    assert sol.lambda_star.min() >= 0.0
+    assert sol.lambda_star.sum() == pytest.approx(1.0, abs=1e-12)
+    calls.clear()
+    sol = solve_subproblem(prob, inp, lam_start=cold.lambda_star)
+    assert sol.theta == pytest.approx(theta_ref, abs=tol)
+    # the start, then the confirmed model optimum.  An arbitrary start can
+    # take one more model round: the active-set method stops once no
+    # outside gain exceeds the tolerance times the gradient scale at its
+    # linearization point, and a start with much weight on rows 1e3 times
+    # longer than those of the optimum's face has a scale about 1e3 times
+    # the optimum's, so the method can stop on a face that the dual
+    # evaluation, at the optimum's scale, rejects (1 of 1 500 random
+    # full-support starts on these instances)
+    assert len(calls) <= 2
+
+
 def scaled_rows(seed, m, n, scales, duplicate):
     """A g = 0 instance whose Jacobian rows have the given scales; row 1
     repeats row 0 when ``duplicate``.  Returns the problem with a counting
@@ -528,11 +562,13 @@ def scaled_rows(seed, m, n, scales, duplicate):
     n=st.integers(1, 11),
     scales=st.tuples(*[st.sampled_from([1e-3, 1.0, 1e3])] * 2),
     duplicate=st.booleans(),
+    start=st.tuples(st.sampled_from(["vertex", "full"]), st.integers(0, 2**32 - 1)),
 )
-def test_pair_matches_face_enumeration_on_scaled_rows(seed, n, scales, duplicate):
-    prob, _, inp, theta_ref = scaled_rows(seed, 2, n, scales, duplicate)
+def test_pair_matches_face_enumeration_on_scaled_rows(seed, n, scales, duplicate, start):
+    prob, calls, inp, theta_ref = scaled_rows(seed, 2, n, scales, duplicate)
     sol = solve_subproblem(prob, inp)
     assert sol.theta == pytest.approx(theta_ref, abs=1e-9 * (1.0 + abs(theta_ref)))
+    check_warm_starts(prob, calls, inp, sol, start_point(*start, 2), theta_ref)
 
 
 @_PROPERTY
@@ -542,8 +578,13 @@ def test_pair_matches_face_enumeration_on_scaled_rows(seed, n, scales, duplicate
     n=st.integers(1, 11),
     scales=st.lists(st.sampled_from([1e-3, 1.0, 1e3]), min_size=10, max_size=10),
     duplicate=st.booleans(),
+    start=st.tuples(
+        st.sampled_from(["vertex", "sparse", "full"]), st.integers(0, 2**32 - 1)
+    ),
 )
-def test_simplex_matches_face_enumeration_on_scaled_rows(seed, m, n, scales, duplicate):
+def test_simplex_matches_face_enumeration_on_scaled_rows(
+    seed, m, n, scales, duplicate, start
+):
     # n < m makes Q = J J^T / ell singular on the larger faces
     prob, calls, inp, theta_ref = scaled_rows(seed, m, n, scales, duplicate)
     sol = solve_subproblem(prob, inp)
@@ -553,6 +594,7 @@ def test_simplex_matches_face_enumeration_on_scaled_rows(seed, m, n, scales, dup
     # without nonsmooth terms the model is the dual: the uniform point,
     # then the confirmed model optimum
     assert len(calls) <= 2
+    check_warm_starts(prob, calls, inp, sol, start_point(*start, m), theta_ref)
 
 
 def nonsmooth_instance(seed, m, kind):
@@ -594,14 +636,21 @@ def nonsmooth_instance(seed, m, kind):
 
 
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["l1", "nonneg"]))
-def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["l1", "nonneg"]),
+    start=st.tuples(
+        st.sampled_from([None, "vertex", "full"]), st.integers(0, 2**32 - 1)
+    ),
+)
+def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind, start):
     prob, inp, (z_ref, theta_ref) = nonsmooth_instance(seed, 2, kind)
-    sol = solve_subproblem(prob, inp)
+    lam_start = None if start[0] is None else start_point(*start, 2)
+    sol = solve_subproblem(prob, inp, lam_start=lam_start)
     assert np.max(np.abs(sol.z_star - z_ref)) <= 1e-4
     assert abs(sol.theta - theta_ref) <= 1e-6
     # the active-set solver of three or more objectives solves the same dual
-    ref, _, reason = _solve_simplex(prob, inp, DualSolverConfig())
+    ref, _, _, reason = _solve_simplex(prob, inp, DualSolverConfig(), np.full(2, 0.5))
     assert reason is None
     assert sol.theta == pytest.approx(ref.omega, abs=1e-9 * (1.0 + abs(ref.omega)))
 
@@ -611,12 +660,39 @@ def test_pair_matches_brute_force_with_nonsmooth_terms(seed, kind):
     seed=st.integers(0, 2**32 - 1),
     m=st.integers(3, 4),
     kind=st.sampled_from(["l1", "nonneg"]),
+    start=st.tuples(
+        st.sampled_from([None, "vertex", "sparse", "full"]), st.integers(0, 2**32 - 1)
+    ),
 )
-def test_simplex_matches_brute_force_with_nonsmooth_terms(seed, m, kind):
+def test_simplex_matches_brute_force_with_nonsmooth_terms(seed, m, kind, start):
     prob, inp, (z_ref, theta_ref) = nonsmooth_instance(seed, m, kind)
-    sol = solve_subproblem(prob, inp)
+    lam_start = None if start[0] is None else start_point(*start, m)
+    sol = solve_subproblem(prob, inp, lam_start=lam_start)
     assert np.max(np.abs(sol.z_star - z_ref)) <= 1e-4
     assert abs(sol.theta - theta_ref) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "m, lam_start",
+    [
+        (2, [1.0]),
+        (2, [[0.5, 0.5]]),
+        (2, [np.nan, 0.5]),
+        (2, [np.inf, 0.0]),
+        (2, [1.5, -0.5]),
+        (2, [0.5, 0.6]),
+        (3, [0.5, 0.5, 0.0, 0.0]),
+        (3, [0.6, 0.6, -0.2]),
+        (3, [0.2, 0.2, 0.2]),
+        (1, [2.0]),
+    ],
+)
+def test_bad_start_point_is_rejected(m, lam_start):
+    prob = {1: quadratic_m1(), 2: make_jos1_l1(3), 3: make_fds(3)}[m]
+    x = np.full(prob.n, 0.5)
+    inp = SubproblemInput.build(prob, x, x, 1.0)
+    with pytest.raises(ValueError, match="lam_start"):
+        solve_subproblem(prob, inp, lam_start=np.array(lam_start))
 
 
 def test_g0_simplex_solves_make_two_dual_evaluations():
@@ -683,6 +759,7 @@ def test_pair_finds_vertex_optima(t_star):
     assert len(calls) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pair_infinite_gradient_coordinate():
     # g_1 is the indicator of z >= 0.  This prox drops the constraint at
     # zero weight, against the contract of MultiObjectiveProblem, which is
